@@ -20,7 +20,7 @@ from .generators import gen_point
 from .harness import ReductionSpec, Report, verify_orbit, verify_reduction
 from .ordinals import omega_times
 from .relations import EqRelHandle, RelationError, decide
-from .spaces import SpaceError, validate_point
+from .spaces import SpaceError, point_bound, validate_point
 
 __all__ = ["main", "run_command"]
 
@@ -91,6 +91,8 @@ def _read_doc(path: str):
 
 
 def _emit(report: Report, as_json: bool, extra: Optional[dict] = None) -> int:
+    if report.verdict == "inputError":
+        print(f"gbs: {report.detail}", file=sys.stderr)
     if as_json:
         payload = report.to_json()
         if extra:
@@ -239,6 +241,8 @@ def _cmd_decide(args, cfg: WorkbenchConfig) -> int:
     try:
         validate_point(x, rel.space)
         validate_point(y, rel.space)
+        if point_bound(x) != point_bound(y):
+            raise SpaceError(f"points with unequal bounds {point_bound(x)} and {point_bound(y)}")
         res = decide(rel, x, y)
     except (SpaceError, RelationError) as exc:
         raise ConfigError(str(exc)) from None

@@ -205,7 +205,9 @@ class CodeTree:
 class BorelCode:
     """A labelled game tree denoting a set (arity 1) or relation (arity 2)."""
 
-    __slots__ = ("tree", "labels", "space", "arity", "content_bound", "provenance", "_hash")
+    __slots__ = (
+        "tree", "labels", "space", "arity", "content_bound", "provenance", "_hash", "_plan"
+    )
 
     def __init__(
         self,
@@ -246,6 +248,7 @@ class BorelCode:
         self.content_bound = b
         self.provenance = provenance
         self._hash = hash((tree, frozenset(labels.items()), space, arity))
+        self._plan = None  # compiled on first evaluation, see _compile
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BorelCode):
@@ -294,20 +297,6 @@ def _atom_on(atom: Atom, p: Point) -> bool:
     return isinstance(p, Bits) and atom.word.dom <= p.bound and starts_with(p, atom.word)
 
 
-def _atom_holds(atom: Atom, pts: Tuple[Point, ...]) -> bool:
-    return _atom_on(atom, pts[1] if atom.side == "right" else pts[0])
-
-
-def _condition_holds(cond: LeafCondition, pts: Tuple[Point, ...]) -> bool:
-    if not all(_atom_holds(g, pts) for g in cond.guards):
-        return True
-    if cond.mode == "all":
-        return all(_atom_holds(a, pts) for a in cond.atoms)
-    left = all(_atom_holds(a, pts) for a in cond.atoms if a.side == "left")
-    right = all(_atom_holds(a, pts) for a in cond.atoms if a.side != "left")
-    return left == right
-
-
 @dataclass(frozen=True)
 class GameOutcome:
     member: bool
@@ -325,38 +314,85 @@ def _as_points(inp, code: BorelCode) -> Tuple[Point, ...]:
     return (inp,)
 
 
-def _values(code: BorelCode, pts: Tuple[Point, ...]) -> Dict[Node, bool]:
-    value: Dict[Node, bool] = {}
-    for n in reversed(code.tree.by_depth):
-        kids = code.tree.children[n]
-        if not kids:
-            cond = code.labels.get(n)
-            # a leaf that lost its label to pruning is lost for II
-            value[n] = cond is not None and _condition_holds(cond, pts)
-        elif len(n) % 2 == 0:
-            value[n] = all(value[k] for k in kids)
+# A code's game plan is compiled once, on its first evaluation, and kept on
+# the code.  It holds the code's distinct atoms with the index of the point
+# each one reads, and one step per node, aligned with tree.by_depth, so that
+# walking the steps backwards meets every child before its parent:
+#   (_I_MOVE | _II_MOVE, child step indices, (), ())
+#   (_LEAF_ALL, guard atoms, atoms, ())
+#   (_LEAF_IFF, guard atoms, left atoms, the other atoms)
+#   (_LOST, (), (), ())  -- a leaf without a label is lost for II
+# Atoms are referred to by their index in the table.
+
+_I_MOVE, _II_MOVE, _LEAF_ALL, _LEAF_IFF, _LOST = range(5)
+
+
+def _compile(code: BorelCode):
+    tree = code.tree
+    index = {n: i for i, n in enumerate(tree.by_depth)}
+    table: Dict[Atom, int] = {}
+
+    def refs(atoms) -> Tuple[int, ...]:
+        return tuple(table.setdefault(a, len(table)) for a in atoms)
+
+    steps = []
+    for n in tree.by_depth:
+        kids = tree.children[n]
+        cond = code.labels.get(n)
+        if kids:
+            mover = _II_MOVE if len(n) % 2 else _I_MOVE
+            steps.append((mover, tuple(index[k] for k in kids), (), ()))
+        elif cond is None:
+            steps.append((_LOST, (), (), ()))
+        elif cond.mode == "all":
+            steps.append((_LEAF_ALL, refs(cond.guards), refs(cond.atoms), ()))
         else:
-            value[n] = any(value[k] for k in kids)
+            left = refs(a for a in cond.atoms if a.side == "left")
+            rest = refs(a for a in cond.atoms if a.side != "left")
+            steps.append((_LEAF_IFF, refs(cond.guards), left, rest))
+    atoms = tuple(table)
+    code._plan = (atoms, bytes(a.side == "right" for a in atoms), tuple(steps))
+    return code._plan
+
+
+def _node_values(code: BorelCode, pts: Tuple[Point, ...]) -> list:
+    """Every node's value, indexed like tree.by_depth (the root is first)."""
+    atoms, sides, steps = code._plan or _compile(code)
+    holds = [_atom_on(a, pts[s]) for a, s in zip(atoms, sides)].__getitem__
+    value = [False] * len(steps)
+    won = value.__getitem__
+    for i in range(len(steps) - 1, -1, -1):
+        op, x, y, z = steps[i]
+        if op == _I_MOVE:
+            value[i] = all(map(won, x))
+        elif op == _II_MOVE:
+            value[i] = any(map(won, x))
+        elif op == _LOST:
+            continue
+        elif not all(map(holds, x)):
+            value[i] = True
+        elif op == _LEAF_ALL:
+            value[i] = all(map(holds, y))
+        else:
+            value[i] = all(map(holds, y)) == all(map(holds, z))
     return value
 
 
-@lru_cache(maxsize=65536)
 def _eval_member(code: BorelCode, pts: Tuple[Point, ...]) -> bool:
-    return _values(code, pts)[()]
+    return _node_values(code, pts)[0]
 
 
 @lru_cache(maxsize=16384)
 def _eval(code: BorelCode, pts: Tuple[Point, ...]) -> GameOutcome:
-    value = _values(code, pts)
-    member = value[()]
+    value = _node_values(code, pts)
+    member = value[0]
+    # the winner moves where its value is kept: II at odd depth, I at even
+    mover = _II_MOVE if member else _I_MOVE
+    nodes = code.tree.by_depth
     strategy = []
-    for n in code.tree.by_depth:
-        kids = code.tree.children[n]
-        if not kids or value[n] != member:
-            continue
-        if (len(n) % 2 == 1) != member:
-            continue
-        strategy.append((n, next(k for k in kids if value[k] == member)))
+    for i, (op, kids, _, _) in enumerate(code._plan[2]):
+        if op == mover and value[i] == member:
+            strategy.append((nodes[i], nodes[next(k for k in kids if value[k] == member)]))
     return GameOutcome(member, tuple(strategy))
 
 
@@ -375,7 +411,13 @@ def game_member(inp, code: BorelCode) -> bool:
 
 
 def code_restrict(code: BorelCode, a: Ordinal) -> BorelCode:
-    """Drop nodes with entries >= a; labels survive only on old leaves."""
+    """Drop nodes with entries >= a; labels survive only on old leaves.
+
+    Restriction is the identity above the content bound: when
+    code.content_bound < a nothing is dropped, and the code itself comes back.
+    """
+    if code.content_bound < a:
+        return code
     keep = [n for n in code.tree.by_depth if all(e < a for e in n)]
     kept = set(keep)
     labels = {n: c for n, c in code.labels.items() if n in kept}
@@ -383,9 +425,17 @@ def code_restrict(code: BorelCode, a: Ordinal) -> BorelCode:
 
 
 def is_good(code: BorelCode, a: Ordinal) -> bool:
-    """Every label surviving restriction to a only inspects positions < a."""
-    r = code_restrict(code, a)
-    return all(position_bound(c) < a for c in r.labels.values())
+    """Every label surviving restriction to a only inspects positions < a.
+
+    Restriction is the identity above the content bound, so every a above it
+    is good.  Below it, the labels that survive are those on leaves whose
+    entries are all < a; no restricted copy is built.
+    """
+    if code.content_bound < a:
+        return True
+    return all(
+        position_bound(c) < a for n, c in code.labels.items() if all(e < a for e in n)
+    )
 
 
 @dataclass(frozen=True)

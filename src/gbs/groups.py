@@ -332,7 +332,7 @@ class GroupAction:
         return hash((self.group, self.rule))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def _orbit(act: GroupAction, x: Bits) -> Tuple[Bits, ...]:
     seen: List[Bits] = []
     for g in act.group.elements():
@@ -376,7 +376,7 @@ def cylinder_enumeration(delta: int = 4) -> CylinderEnumeration:
     return CylinderEnumeration(tuple(iter_words(delta)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _restr_key(p: Point, cut: Ordinal) -> str:
     return canonical_key(restrict_point(p, cut))
 
@@ -396,7 +396,7 @@ def _check_separation(points: Sequence[Bits], delta: int) -> None:
 Trace = Tuple[frozenset, ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def _trace_sets(act: GroupAction, enum: CylinderEnumeration, x: Bits) -> Trace:
     moved = {g: act.apply(g, x) for g in act.group.elements()}
     return tuple(
@@ -483,11 +483,6 @@ def red_ac3_selector(act: GroupAction, schedule: ChainSchedule, x: Bits) -> Ords
         best = canonical_min([act.apply(g, rx) for g in schedule.at(q)])
         codes.append(point_code(best))
     return grid_ordvals(x.bound, codes)
-
-
-def _trace_code(prefix: Sequence[frozenset]) -> int:
-    s = ";".join(",".join(str(z) for z in sorted(zs)) for zs in prefix)
-    return int.from_bytes(s.encode("ascii"), "big")
 
 
 def red_action_to_E0(

@@ -403,18 +403,25 @@ def verify_reduction(spec: ReductionSpec, config: Optional[WorkbenchConfig] = No
     fmap = functools.lru_cache(maxsize=4096)(res.fn)
 
     def mismatch(a: Point, b: Point) -> bool:
+        return src(a, b) != decide(spec.target, fmap(a), fmap(b))
+
+    def still_failing(a: Point, b: Point) -> bool:
+        # a shrinking step that makes the map or a decider raise is just a dead end
         try:
-            return src(a, b) != decide(spec.target, fmap(a), fmap(b))
+            return mismatch(a, b)
         except (ValueError, TypeError):
             return False
 
     for i, (x, y) in enumerate(pairs):
         try:
             bad = mismatch(x, y)
-        except HarnessError as exc:
-            return Report("inputError", i, 0, cfg.seed, cfg.lam, _ms(t0), detail=str(exc))
+        except (ValueError, TypeError) as exc:
+            return Report(
+                "inputError", i, 0, cfg.seed, cfg.lam, _ms(t0),
+                detail=f"pair {i + 1} raised under {spec.map_name}: {exc}",
+            )
         if bad:
-            sx, sy = _shrink_pair(x, y, mismatch)
+            sx, sy = _shrink_pair(x, y, still_failing)
             return Report(
                 "fail", i + 1, 1, cfg.seed, cfg.lam, _ms(t0),
                 counterexample=(sx, sy),

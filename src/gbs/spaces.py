@@ -341,10 +341,6 @@ def restrict_point(p: Point, a: Ordinal) -> Point:
     raise SpaceError(f"not a point: {p!r}")
 
 
-def restrict_word(w: FiniteWord, a: Ordinal) -> FiniteWord:
-    return FiniteWord(pm_restrict(w.bits, a))
-
-
 def zero_pad_embed(w: FiniteWord, b: Ordinal) -> FiniteWord:
     """Append zeros: the word agreeing with w below dom(w) and 0 on [dom, b)."""
     if b < w.dom:

@@ -61,6 +61,13 @@ def test_decide_space_mismatch_is_input_error(capsys):
     assert err.startswith("gbs: ")
 
 
+def test_decide_unequal_bounds_is_input_error(capsys):
+    code, out, err = run(capsys, "decide", "e0", X0, "(bits [0,w*3) lim=0 word=0)")
+    assert (code, out) == (2, "")
+    assert err.startswith("gbs: ")
+    assert "unequal bounds w^2 and w*3" in err
+
+
 def test_decide_bad_point_reports_position(capsys):
     code, _, err = run(capsys, "decide", "e0", "(bits [0,w^2) lim=2 word=0)", X0)
     assert code == 2
@@ -100,6 +107,19 @@ def test_wrong_target_mutant_fails(capsys):
     code, out, _ = run(capsys, "check-reduction", SPECS / "mutants" / "e1-to-e0-wrong-target.gbs", "--json")
     assert code == 1
     assert json.loads(out)["failed"] == 1
+
+
+def test_check_reduction_raising_map_exits_2(capsys, tmp_path):
+    doc = tmp_path / "raising.gbs"
+    doc.write_text(
+        "(reduction (source (e0)) (target (idplus)) (map e0-to-idplus 0 1 2 3 4 5 6)"
+        " (pairs (constructed 5 5)))\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "check-reduction", doc, "--json")
+    assert code == 2
+    assert json.loads(out)["verdict"] == "inputError"
+    assert err.startswith("gbs: pair 1 raised under e0-to-idplus")
 
 
 def test_check_reduction_wrong_document_kind(capsys):

@@ -35,6 +35,7 @@ from gbs.spaces import (
     BITS,
     Bits,
     Family,
+    FiniteWord,
     Tagged,
     point_code,
     restrict_point,
@@ -47,7 +48,7 @@ L = OMEGA_SQ
 CUB = CubParams(value_space="ordinal", mode="Structural")
 
 
-def W(*vals) -> "FiniteWord":
+def W(*vals) -> FiniteWord:
     return word_from_bits(list(vals))
 
 
@@ -382,6 +383,74 @@ def test_approx_stability_sampled():
         assert game_member(pair, code) == game_member(ra, code_restrict(code, a))
 
 
+# labels that read at or past w, so that low levels can fail to be good
+WIDE_POOL = (
+    LeafCondition((ComponentConstraint((OMEGA + 1,), W(1), "left"),)),
+    LeafCondition((TagEquals(omega_times(2), "right"),)),
+    LeafCondition(
+        (InitialSegment(FiniteWord(PatternMap.constant(omega_times(3), 0)), "left"),
+         InitialSegment(W(1), "right")),
+        "iff",
+    ),
+)
+
+
+def gen_wide_code(rng: random.Random) -> BorelCode:
+    code = gen_code(rng)
+    labels = {
+        n: rng.choice(WIDE_POOL) if rng.random() < 0.4 else c for n, c in code.labels.items()
+    }
+    return BorelCode(code.tree, labels, BITS, 2)
+
+
+def restrict_by_copy(code: BorelCode, a: Ordinal) -> BorelCode:
+    """Restriction as a fresh copy: keep the nodes whose entries are all < a."""
+    keep = [n for n in code.tree.nodes if all(e < a for e in n)]
+    labels = {n: c for n, c in code.labels.items() if n in set(keep)}
+    return BorelCode(CodeTree(keep), labels, code.space, code.arity)
+
+
+def good_by_copy(code: BorelCode, a: Ordinal) -> bool:
+    return all(position_bound(c) < a for c in restrict_by_copy(code, a).labels.values())
+
+
+def _tower():
+    codes = [code_id(4)]
+    for _ in range(2):
+        codes.append(code_jump(codes[-1], 2))
+    return codes
+
+
+def test_is_good_matches_restricted_copy():
+    rng = random.Random(0xC0DE8)
+    codes = [gen_wide_code(rng) for _ in range(150)] + [gen_code(rng) for _ in range(50)]
+    seen = set()
+    for code in codes + _tower():
+        for q in range(1, 7):
+            a = omega_times(q)
+            got = is_good(code, a)
+            assert got == good_by_copy(code, a), (code, a)
+            seen.add(got)
+    assert seen == {True, False}
+
+
+def test_restrict_is_identity_above_content_bound():
+    rng = random.Random(0xC0DE9)
+    above = below = 0
+    for code in [gen_wide_code(rng) for _ in range(150)] + _tower():
+        for q in range(1, 7):
+            a = omega_times(q)
+            r = code_restrict(code, a)
+            if code.content_bound < a:
+                assert r is code
+                assert is_good(code, a)
+                above += 1
+            else:
+                assert r == restrict_by_copy(code, a)
+                below += 1
+    assert above and below
+
+
 # ---------------------------------------------------------------------------
 # the identity code
 # ---------------------------------------------------------------------------
@@ -501,6 +570,59 @@ def test_jump_of_join_readdresses_tags():
     y_ne = Family([Tagged(ZERO, xi)], PatternMap.constant(L, 0))
     assert game_member((x, y_eq), jj)
     assert not game_member((x, y_ne), jj)
+
+
+def _gen_family(rng: random.Random, pool) -> Family:
+    comps = rng.sample(pool, rng.randint(1, 3))
+    return fam(comps, range(len(comps)))
+
+
+def test_jump_code_matches_minimax_on_families():
+    cj = code_jump(code_id(), 2)
+    rng = random.Random(0xC0DEA)
+    pool = _word_pool() + [Bits(PatternMap.constant(L, 1))]
+    members = 0
+    for _ in range(40):
+        x = _gen_family(rng, pool)
+        if rng.random() < 0.4:
+            y = Family(list(reversed(x.components)), x.assignment)
+        else:
+            y = _gen_family(rng, pool)
+        want = orc_member((x, y), cj)
+        assert game_member((x, y), cj) == want
+        assert game_eval((x, y), cj).member == want
+        replay_wins((x, y), cj)
+        members += want
+    assert 0 < members < 40
+
+
+def test_join_codes_match_minimax_on_tagged_points():
+    cid = code_id()
+    joint = code_join([cid, code_jump(cid, 2)])
+    nested = code_jump(code_join([cid, cid]), 2)
+    rng = random.Random(0xC0DEB)
+    pool = _word_pool()
+
+    def tagged():
+        if rng.random() < 0.5:
+            return Tagged(ZERO, rng.choice(pool))
+        return Tagged(nat(1), _gen_family(rng, pool))
+
+    def tagged_family():
+        comps = [Tagged(nat(rng.randrange(2)), rng.choice(pool)) for _ in range(rng.randint(1, 2))]
+        return Family(comps, pm_write_finite(PatternMap.constant(L, 0), list(range(len(comps)))))
+
+    outcomes = set()
+    for code, draw in ((joint, tagged), (nested, tagged_family)):
+        for _ in range(30):
+            x = draw()
+            y = x if rng.random() < 0.3 else draw()
+            want = orc_member((x, y), code)
+            assert game_member((x, y), code) == want
+            assert game_eval((x, y), code).member == want
+            replay_wins((x, y), code)
+            outcomes.add((code is joint, want))
+    assert len(outcomes) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,16 @@ def test_exhaustive_needs_finite_word_bound():
     assert "finite word bound" in r.detail
 
 
+def test_raising_map_is_input_error():
+    # a support of 7 positions is over the map's bound of 6, so every call raises
+    spec = spec_for("e0-to-idplus", GenPolicy("constructed", n_eq=5, n_ineq=5), params=tuple(range(7)))
+    r = verify_reduction(spec, FAST)
+    assert (r.verdict, r.checked, r.failed) == ("inputError", 0, 0)
+    assert r.counterexample is None
+    assert "pair 1 raised under e0-to-idplus" in r.detail
+    assert "exceeds the bound 6" in r.detail
+
+
 def test_unknown_map_rejected_at_construction():
     with pytest.raises(HarnessError, match="unknown reduction map"):
         ReductionSpec(rel_e0(), rel_e1(), "nosuch", (), GenPolicy("sampled", n=1))
