@@ -356,10 +356,6 @@ def _parse_pattern(p: _Parser, mode: str) -> PatternMap:
         raise _guard(first, exc) from None
 
 
-def _fmt_scalar(v) -> str:
-    return str(v)
-
-
 def _fmt_word(word: tuple) -> str:
     if all(isinstance(v, int) for v in word):
         if set(word) <= {0, 1}:
@@ -370,7 +366,7 @@ def _fmt_word(word: tuple) -> str:
 
 def print_pattern(pm: PatternMap) -> str:
     return "; ".join(
-        f"[{pc.lo},{pc.hi}) lim={_fmt_scalar(pc.limit_value)} word={_fmt_word(pc.word)}"
+        f"[{pc.lo},{pc.hi}) lim={pc.limit_value} word={_fmt_word(pc.word)}"
         for pc in pm.pieces
     )
 

@@ -15,6 +15,11 @@ which is what equality decisions, class codes and canonical minima need.
 Unobservable payload slots are filled deterministically: a piece with no
 limit position gets word[0] as its limit value, and a piece consisting of
 a single limit position gets (limit value,) as its word.
+
+Two invariants of the canonical form let restriction, the value set and
+one-to-one maps read or copy the pieces without canonicalising again:
+every value slot of a canonical piece is observed at some position, and a
+canonical piece crosses a block start only inside a run with no prefix.
 """
 
 from __future__ import annotations
@@ -310,23 +315,47 @@ def pm_zip(m1: PatternMap, m2: PatternMap, f: Callable[[Value, Value], Value]) -
 
 
 def pm_map(m: PatternMap, f: Callable[[Value], Value]) -> PatternMap:
+    """Apply f to every value; f is called once per distinct value."""
     if m.bound.is_zero():
         return m
-    return PatternMap.build(
-        m.bound,
-        [Piece(p.lo, p.hi, f(p.limit_value), tuple(f(v) for v in p.word)) for p in m.pieces],
+    image = {v: f(v) for v in pm_value_set(m)}
+    pieces = tuple(
+        Piece(p.lo, p.hi, image[p.limit_value], tuple(image[v] for v in p.word))
+        for p in m.pieces
     )
+    if len(set(image.values())) == len(image):
+        # one-to-one on the values: each run keeps its shape, minimal period
+        # and prefix trim, and equal runs stay equal, so the copy is canonical
+        return PatternMap(m.bound, pieces, _canonical=True)
+    return PatternMap.build(m.bound, pieces)
 
 
 def pm_restrict(m: PatternMap, a: Ordinal) -> PatternMap:
+    """The map on [0, a) agreeing with m, read off m's canonical pieces.
+
+    Below the block start cut = limit_part(a) the canonical pieces of the
+    restriction are m's own, with the one piece that crosses cut (a run
+    with no prefix, whose content a cut at a block start keeps) ended at
+    cut.  A successor a adds the canonical partial piece on [cut, a).
+    """
     if m.bound < a:
         raise PatternError(f"restriction bound {a} exceeds domain {m.bound}")
-    kept = []
+    if a == m.bound:
+        return m
+    if a.is_zero():
+        return PatternMap(a, (), _canonical=True)
+    cut = a.limit_part()
+    out = []
     for p in m.pieces:
-        if not p.lo < a:
+        if not p.lo < cut:
             break
-        kept.append(Piece(p.lo, a if a < p.hi else p.hi, p.limit_value, p.word))
-    return PatternMap.build(a, kept)
+        out.append(p if p.hi <= cut else Piece(p.lo, cut, p.limit_value, p.word))
+    n = a.nat_part()
+    if n:
+        lv = _piece_at(m.pieces, cut).limit_value
+        vals, _ = _block_windows(m.pieces, cut.block_index(), n)
+        out.append(Piece(cut, a, lv, _window_word(vals) or (lv,)))
+    return PatternMap(a, tuple(out), _canonical=True)
 
 
 def pm_splice(m: PatternMap, at: Ordinal, head: PatternMap) -> PatternMap:
@@ -469,4 +498,7 @@ def pm_value_census(m: PatternMap) -> dict:
 
 
 def pm_value_set(m: PatternMap) -> frozenset:
-    return frozenset(pm_value_census(m).keys())
+    """Values taken somewhere on the domain: every canonical slot is observed."""
+    return frozenset(
+        [p.limit_value for p in m.pieces] + [v for p in m.pieces for v in p.word]
+    )

@@ -154,7 +154,11 @@ class Family:
         for i, k in keyed.items():
             chosen.setdefault(k, comps[i])
         self.components = tuple(chosen[k] for k in order)
-        self.assignment = pm_map(assignment, lambda i: slot[keyed[i]]) if refs else assignment
+        remap = {i: slot[k] for i, k in keyed.items()}
+        if all(i == j for i, j in remap.items()):
+            self.assignment = assignment
+        else:
+            self.assignment = pm_map(assignment, remap.__getitem__)
 
     @property
     def bound(self) -> Ordinal:
@@ -232,13 +236,9 @@ def _pm_serial(m: PatternMap, open_ended: bool) -> str:
     last = len(m.pieces) - 1
     for i, p in enumerate(m.pieces):
         hi = "" if (open_ended and i == last) else str(p.hi)
-        word = ",".join(_value_str(v) for v in p.word)
-        out.append(f"{_value_str(p.limit_value)}:{word}@{p.lo}..{hi}")
+        word = ",".join(map(str, p.word))
+        out.append(f"{p.limit_value}:{word}@{p.lo}..{hi}")
     return ";".join(out)
-
-
-def _value_str(v) -> str:
-    return str(v)
 
 
 def serialize_point(p: Point, open_ended: bool = False) -> str:

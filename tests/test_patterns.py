@@ -3,8 +3,20 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from gbs.ordinals import OMEGA, OMEGA_SQ, ONE, ZERO, Ordinal, nat, omega_times, ord_max
+from gbs.ordinals import (
+    OMEGA,
+    OMEGA_SQ,
+    ONE,
+    ZERO,
+    Ordinal,
+    iter_below,
+    nat,
+    omega_times,
+    ord_max,
+    ord_min,
+)
 from gbs.patterns import (
     INFINITE,
     PatternError,
@@ -410,3 +422,105 @@ def test_restriction_of_equal_maps_is_equal():
         assert m1 == m2
         for a in (OMEGA, omega_times(2), omega_times(3, 4)):
             assert pm_restrict(m1, a) == pm_restrict(m2, a)
+
+
+# --- canonical fast paths against PatternMap.build ------------------------------
+# pm_restrict, pm_value_set and pm_map read or copy canonical pieces instead of
+# canonicalising again; each is compared with the build-based definition on
+# bounds past w^2 and cuts at non-natural block indices.
+
+OMEGA_CUBE = Ordinal(((3, 1),))
+FAST_BOUNDS = [
+    nat(5),
+    OMEGA,
+    omega_times(2, 3),
+    omega_times(4),
+    L,
+    L + 3,
+    L + OMEGA + 2,
+    OMEGA_CUBE,
+    OMEGA_CUBE + omega_times(2),
+]
+# positions below each bound with every CNF coefficient <= 3, zero excluded
+FAST_GRID = {b: [o for o in iter_below(b, 3) if not o.is_zero()] for b in FAST_BOUNDS}
+PROPS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def canonical_maps(draw, alphabet=(0, 1, 2)):
+    bound = draw(st.sampled_from(FAST_BOUNDS))
+    cuts = draw(st.sets(st.sampled_from(FAST_GRID[bound]), max_size=5))
+    edges = [ZERO] + sorted(cuts, key=lambda o: o.terms) + [bound]
+    raw = []
+    for lo, hi in zip(edges, edges[1:]):
+        lv = draw(st.sampled_from(alphabet))
+        word = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=3))
+        raw.append((lo, hi, lv, tuple(word)))
+    return PatternMap.build(bound, raw)
+
+
+def restrict_by_build(m, a):
+    kept = [Piece(p.lo, ord_min(a, p.hi), p.limit_value, p.word) for p in m.pieces if p.lo < a]
+    return PatternMap.build(a, kept)
+
+
+def map_by_build(m, f):
+    return PatternMap.build(
+        m.bound, [Piece(p.lo, p.hi, f(p.limit_value), tuple(map(f, p.word))) for p in m.pieces]
+    )
+
+
+CUT_KINDS = {
+    "zero": lambda b: [ZERO],
+    "limit": lambda b: [o for o in FAST_GRID[b] if o.is_limit()],
+    "successor": lambda b: [o for o in FAST_GRID[b] if o.is_successor()],
+    "bound": lambda b: [b],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CUT_KINDS))
+@PROPS
+@given(m=canonical_maps(), data=st.data())
+def test_restrict_matches_build(kind, m, data):
+    cuts = CUT_KINDS[kind](m.bound)
+    assume(cuts)
+    a = data.draw(st.sampled_from(cuts))
+    r = pm_restrict(m, a)
+    assert r.bound == a
+    assert r == restrict_by_build(m, a)
+
+
+def test_restrict_at_non_natural_block_index():
+    # w^2+w*2+3 sits in block w+2; pieces crossing w^2+w*2, a prefix block at
+    # w^2+w*2 and a run merged across w^2 are all cut there
+    a = L + omega_times(2, 3)
+    raws = [
+        [(ZERO, OMEGA_CUBE, 1, (0, 1))],
+        [(ZERO, L, 0, (1,)), (L, L + OMEGA, 0, (1,)), (L + OMEGA, OMEGA_CUBE, 1, (0,))],
+        [(ZERO, L + omega_times(2, 2), 0, (0,)), (L + omega_times(2, 2), OMEGA_CUBE, 1, (1, 0, 0))],
+        [(ZERO, L + omega_times(2, 5), 2, (2, 1)), (L + omega_times(2, 5), OMEGA_CUBE, 0, (0,))],
+    ]
+    for raw in raws:
+        m = PatternMap.build(OMEGA_CUBE, raw)
+        r = pm_restrict(m, a)
+        assert r == restrict_by_build(m, a)
+        for p in probe_grid(a, r):
+            assert pm_eval(r, p) == eval_raw(raw, p)
+
+
+@PROPS
+@given(m=canonical_maps())
+def test_value_set_matches_census(m):
+    assert pm_value_set(m) == frozenset(pm_value_census(m))
+
+
+ONE_TO_ONE = [lambda v: v + 1, lambda v: 2 - v, lambda v: (v, "tag")]
+MANY_TO_ONE = [lambda v: v % 2, lambda v: 0, lambda v: min(v, 1)]
+
+
+@PROPS
+@given(m=canonical_maps(), f=st.sampled_from(ONE_TO_ONE + MANY_TO_ONE))
+def test_map_matches_build(m, f):
+    mm = pm_map(m, f)
+    assert mm == map_by_build(m, f)
+    assert pm_value_set(mm) == frozenset(f(v) for v in pm_value_set(m))
