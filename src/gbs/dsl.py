@@ -22,13 +22,20 @@ A document is either a bare ordinal ("w^2*3+w+1"), a bare pattern literal
 
 "#" starts a comment.  Parsing is whitespace-insensitive; printing is
 canonical, and parse(print(x)) reconstructs x.
+
+Parsing has two parts.  `_read` turns the text into positioned `Form`s in
+one regex pass.  Each category of form then has a `_Table` from head word
+to handler; `_build` looks the head up, runs the handler on the form's
+arguments, checks that they are used up, and reports the constructor errors
+the table names at the form.  Keyword clauses such as (source ...) are
+tables too, read by `_clauses`, each at most once.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .codes import (
     BorelCode,
@@ -53,10 +60,20 @@ from .groups import (
 )
 from .harness import GenPolicy, HarnessError, ReductionSpec
 from .ordinals import OMEGA, ZERO, Ordinal, nat
-from .patterns import PatternError, PatternMap
+from .patterns import PatternError, PatternMap, pm_eval
 from .relations import (
+    E0,
+    E1,
+    Cub,
+    E1Approx,
     EqRelHandle,
+    Id,
+    IdPlus,
+    IdPlusStar,
+    Join,
+    Jump,
     RelationError,
+    TowerJoin,
     make_tower,
     rel_cub,
     rel_e0,
@@ -146,68 +163,193 @@ WorkbenchSpec = Union[
 
 
 # ---------------------------------------------------------------------------
-# lexer
+# reader
 # ---------------------------------------------------------------------------
 
 
 class Token(NamedTuple):
-    kind: str  # "(" | ")" | "semi" | "range" | "atom"
+    kind: str  # "open" | "close" | "semi" | "range" | "atom" | "eof"
     text: str
     line: int
     col: int
 
 
-_DELIM = set("();#[ \t\r\n")
+class Form(NamedTuple):
+    """A parenthesized form; its items are tokens and forms."""
+
+    open: Token
+    items: list
+    close: Token
+    kind = "form"
+    text = "("
+
+    @property
+    def line(self) -> int:
+        return self.open.line
+
+    @property
+    def col(self) -> int:
+        return self.open.col
 
 
-def _lex(text: str) -> List[Token]:
-    toks: List[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
+_TOKEN = re.compile(
+    r"(?P<space>[ \t\r\n]+|#[^\n]*)|(?P<open>\()|(?P<close>\))|(?P<semi>;)"
+    r"|(?P<range>\[[^)\]\n]*[)\]]?)|(?P<atom>[^ \t\r\n();#\[\]]+|\])"
+)
 
-    def advance(k: int):
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
 
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            advance(1)
-        elif c == "#":
-            while i < n and text[i] != "\n":
-                advance(1)
-        elif c in "()":
-            toks.append(Token(c, c, line, col))
-            advance(1)
-        elif c == ";":
-            toks.append(Token("semi", c, line, col))
-            advance(1)
-        elif c == "[":
-            l0, c0 = line, col
-            j = i
-            while j < n and text[j] not in ")]\n":
-                j += 1
-            if j >= n or text[j] == "\n":
-                raise DslError("unterminated range", l0, c0)
-            if text[j] == "]":
-                raise DslError("ranges are half-open: expected ')'", l0, c0)
-            raw = text[i : j + 1]
-            advance(j + 1 - i)
-            toks.append(Token("range", raw, l0, c0))
+def _error(at, message: str) -> DslError:
+    return DslError(message, at.line, at.col)
+
+
+def _read(text: str) -> Form:
+    """The whole document as one form: its items, then an "eof" close."""
+    stack: List[list] = [[]]
+    opens: List[Token] = []
+    line, line_start = 1, 0
+    last = Token("eof", "", 1, 1)
+    for m in _TOKEN.finditer(text):
+        kind, s = m.lastgroup, m.group()
+        if kind == "space":
+            if "\n" in s:
+                line += s.count("\n")
+                line_start = m.start() + s.rindex("\n") + 1
+            continue
+        last = tok = Token(kind, s, line, m.start() - line_start + 1)
+        if kind == "range" and not s.endswith(")"):
+            why = "ranges are half-open: expected ')'" if s.endswith("]") else "unterminated range"
+            raise _error(tok, why)
+        if kind == "open":
+            opens.append(tok)
+            stack.append([])
+        elif kind == "close" and opens:
+            items = stack.pop()
+            stack[-1].append(Form(opens.pop(), items, tok))
         else:
-            l0, c0 = line, col
-            j = i
-            while j < n and text[j] not in _DELIM and text[j] != "]":
-                j += 1
-            toks.append(Token("atom", text[i:j], l0, c0))
-            advance(j - i)
-    return toks
+            stack[-1].append(tok)
+    end = Token("eof", "", last.line, last.col + len(last.text))
+    if opens:
+        raise _error(end, "unexpected end of input")
+    return Form(Token("open", "", 1, 1), stack[0], end)
+
+
+class _Args:
+    """The items of one form, read left to right; `head` is its first item."""
+
+    def __init__(self, form: Form):
+        self.form = form
+        self.items = form.items
+        self.i = 0
+
+    @property
+    def head(self) -> Token:
+        return self.items[0]
+
+    def more(self) -> bool:
+        return self.i < len(self.items)
+
+    def peek(self):
+        return self.items[self.i] if self.more() else self.form.close
+
+    def take(self, what: str):
+        t = self.peek()
+        if t.kind == "eof":
+            raise _error(t, "unexpected end of input")
+        if not self.more():
+            raise _error(t, f"expected {what}, got {t.text!r}")
+        self.i += 1
+        return t
+
+    def expect(self, kind: str, what: str):
+        t = self.take(what)
+        if t.kind != kind:
+            raise _error(t, f"expected {what}, got {t.text!r}")
+        return t
+
+    def atom(self, what: str) -> Token:
+        return self.expect("atom", what)
+
+    def nat(self, what: str) -> int:
+        t = self.atom(what)
+        if not t.text.isdigit():
+            raise _error(t, f"expected {what}, got {t.text!r}")
+        return int(t.text)
+
+    def ordinal(self, what: str = "an ordinal") -> Ordinal:
+        t = self.atom(what)
+        return parse_ordinal_text(t.text, t.line, t.col)
+
+    def bits(self) -> FiniteWord:
+        t = self.atom("a bit string")
+        if set(t.text) - {"0", "1"}:
+            raise _error(t, f"expected a bit string, got {t.text!r}")
+        return word_from_bits([int(ch) for ch in t.text])
+
+    def read(self, table: "_Table"):
+        article = "an" if table.what[0] in "aeiou" else "a"
+        return _build(table, self.take(f"{article} {table.what}"))
+
+    def many(self, read: Callable, *args) -> tuple:
+        out = []
+        while self.more():
+            out.append(read(*args))
+        return tuple(out)
+
+    def done(self) -> None:
+        if self.more():
+            t = self.peek()
+            if self.form.close.kind == "eof":
+                raise _error(t, f"trailing input {t.text!r}")
+            raise _error(t, f"expected ')', got {t.text!r}")
+
+
+@dataclass(frozen=True)
+class _Table:
+    what: str  # the noun in "unknown <what> 'x'"
+    errors: tuple  # constructor errors reported at the form
+    forms: Dict[str, Callable[[_Args], object]]
+    words: dict = field(default_factory=dict)  # bare words and their values
+
+
+def _build(table: _Table, item):
+    """Reads `item` as a bare word or a form of `table`."""
+    if item.kind == "atom" and table.words:
+        if item.text not in table.words:
+            raise _error(item, f"unknown {table.what} {item.text!r}")
+        return table.words[item.text]
+    if item.kind != "form":
+        raise _error(item, f"expected '(', got {item.text!r}")
+    args = _Args(item)
+    head = args.atom("a form name")
+    handler = table.forms.get(head.text)
+    if handler is None:
+        raise _error(head, f"unknown {table.what} {head.text!r}")
+    try:
+        value = handler(args)
+    except table.errors as exc:
+        raise _error(item, str(exc)) from None
+    args.done()
+    return value
+
+
+def _clauses(args: _Args, table: _Table, required: str = "") -> dict:
+    """The rest of `args` as clauses of `table`, keyed by head word.  Each
+    clause may appear once; if `required` names the form, all must appear."""
+    out = {}
+    for item in args.many(args.take, "a clause"):
+        value = _build(table, item)
+        head = item.items[0]
+        if head.text in out:
+            raise _error(head, f"duplicate {head.text} clause")
+        out[head.text] = value
+    missing = sorted(set(table.forms) - set(out))
+    if required and missing:
+        raise _error(args.form, f"{required} missing {missing}")
+    return out
+
+
+def _head(item) -> str:
+    return item.items[0].text if item.kind == "form" and item.items else ""
 
 
 # ---------------------------------------------------------------------------
@@ -236,131 +378,68 @@ def parse_ordinal_text(text: str, line: int = 1, col: int = 1) -> Ordinal:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# patterns
 # ---------------------------------------------------------------------------
 
 
-class _Parser:
-    def __init__(self, toks: List[Token]):
-        self.toks = toks
-        self.pos = 0
-
-    def peek(self) -> Optional[Token]:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def next(self) -> Token:
-        t = self.peek()
-        if t is None:
-            last = self.toks[-1] if self.toks else Token("atom", "", 1, 1)
-            raise DslError("unexpected end of input", last.line, last.col + len(last.text))
-        self.pos += 1
-        return t
-
-    def expect(self, kind: str, what: str) -> Token:
-        t = self.next()
-        if t.kind != kind:
-            raise DslError(f"expected {what}, got {t.text!r}", t.line, t.col)
-        return t
-
-    def open(self) -> Token:
-        return self.expect("(", "'('")
-
-    def close(self) -> Token:
-        return self.expect(")", "')'")
-
-    def atom(self, what: str) -> Token:
-        return self.expect("atom", what)
-
-    def at_close(self) -> bool:
-        t = self.peek()
-        return t is not None and t.kind == ")"
-
-    def nat_atom(self, what: str) -> int:
-        t = self.atom(what)
-        if not t.text.isdigit():
-            raise DslError(f"expected {what}, got {t.text!r}", t.line, t.col)
-        return int(t.text)
-
-    def ordinal_atom(self, what: str = "an ordinal") -> Ordinal:
-        t = self.atom(what)
-        return parse_ordinal_text(t.text, t.line, t.col)
-
-
-def _guard(tok: Token, exc: Exception) -> DslError:
-    return DslError(str(exc), tok.line, tok.col)
-
-
-# -- patterns ---------------------------------------------------------------
-
-
-def _parse_value(text: str, mode: str, tok: Token):
+def _parse_value(text: str, tok: Token, mode: str):
     if mode == "nat":
         if not text.isdigit():
-            raise DslError(f"expected a natural value, got {text!r}", tok.line, tok.col)
+            raise _error(tok, f"expected a natural value, got {text!r}")
         return int(text)
     return parse_ordinal_text(text, tok.line, tok.col)
 
 
-def _parse_word_values(text: str, mode: str, tok: Token) -> tuple:
+def _parse_word_values(text: str, tok: Token, mode: str) -> tuple:
     if not text:
-        raise DslError("empty piece word", tok.line, tok.col)
+        raise _error(tok, "empty piece word")
     if mode == "nat":
         if "," in text:
-            return tuple(_parse_value(v, "nat", tok) for v in text.split(","))
+            return tuple(_parse_value(v, tok, "nat") for v in text.split(","))
         if set(text) <= {"0", "1"}:
             return tuple(int(ch) for ch in text)
-        return (_parse_value(text, "nat", tok),)
+        return (_parse_value(text, tok, "nat"),)
     return tuple(parse_ordinal_text(v, tok.line, tok.col) for v in text.split(","))
 
 
-def _kv_atom(p: _Parser, key: str) -> Tuple[str, Token]:
-    t = p.atom(f"{key}=...")
+def _kv_atom(args: _Args, key: str) -> Tuple[str, Token]:
+    t = args.atom(f"{key}=...")
     if not t.text.startswith(key + "="):
-        raise DslError(f"expected {key}=..., got {t.text!r}", t.line, t.col)
+        raise _error(t, f"expected {key}=..., got {t.text!r}")
     return t.text[len(key) + 1 :], t
 
 
-def _parse_pattern(p: _Parser, mode: str) -> PatternMap:
-    first = p.peek()
-    if first is None or first.kind != "range":
-        t = first or Token("atom", "", 1, 1)
-        raise DslError("expected a pattern piece '[lo,hi) lim=... word=...'", t.line, t.col)
+def _pattern(args: _Args, mode: str) -> PatternMap:
+    first = args.peek()
+    if first.kind != "range":
+        raise _error(first, "expected a pattern piece '[lo,hi) lim=... word=...'")
     raw = []
     while True:
-        rt = p.expect("range", "a range")
-        body = rt.text[1:-1]
-        ends = [s.strip() for s in body.split(",")]
+        rt = args.expect("range", "a range")
+        ends = [s.strip() for s in rt.text[1:-1].split(",")]
         if len(ends) != 2:
-            raise DslError(f"range needs two endpoints, got {rt.text!r}", rt.line, rt.col)
-        lo = parse_ordinal_text(ends[0], rt.line, rt.col)
-        hi = parse_ordinal_text(ends[1], rt.line, rt.col)
-        lim_text, lim_tok = _kv_atom(p, "lim")
-        word_text, word_tok = _kv_atom(p, "word")
-        raw.append((lo, hi, lim_text, lim_tok, word_text, word_tok))
-        t = p.peek()
-        if t is not None and t.kind == "semi":
-            p.next()
-            continue
-        break
+            raise _error(rt, f"range needs two endpoints, got {rt.text!r}")
+        lo, hi = (parse_ordinal_text(e, rt.line, rt.col) for e in ends)
+        raw.append((lo, hi, _kv_atom(args, "lim"), _kv_atom(args, "word")))
+        if args.peek().kind != "semi":
+            break
+        args.take("';'")
     if mode == "auto":
-        texts = [x for piece in raw for x in (piece[2], piece[4])]
+        texts = [text for piece in raw for text, _ in piece[2:]]
         mode = "nat" if all(re.fullmatch(r"[0-9,]+", x) for x in texts) else "ordinal"
-    pieces = []
-    for lo, hi, lim_text, lim_tok, word_text, word_tok in raw:
-        lim = _parse_value(lim_text, mode, lim_tok)
-        word = _parse_word_values(word_text, mode, word_tok)
-        pieces.append((lo, hi, lim, word))
+    pieces = [
+        (lo, hi, _parse_value(*lim, mode), _parse_word_values(*word, mode))
+        for lo, hi, lim, word in raw
+    ]
     try:
         return PatternMap.build(pieces[-1][1], pieces)
     except (PatternError, ValueError) as exc:
-        raise _guard(first, exc) from None
+        raise _error(first, str(exc)) from None
 
 
 def _fmt_word(word: tuple) -> str:
-    if all(isinstance(v, int) for v in word):
-        if set(word) <= {0, 1}:
-            return "".join(str(v) for v in word)
-        return ",".join(str(v) for v in word)
+    if all(isinstance(v, int) for v in word) and set(word) <= {0, 1}:
+        return "".join(str(v) for v in word)
     return ",".join(str(v) for v in word)
 
 
@@ -371,43 +450,38 @@ def print_pattern(pm: PatternMap) -> str:
     )
 
 
-# -- points -----------------------------------------------------------------
+# ---------------------------------------------------------------------------
+# points and spaces
+# ---------------------------------------------------------------------------
 
 
-def _parse_point(p: _Parser) -> Point:
-    lp = p.open()
-    head = p.atom("a point form")
-    try:
-        if head.text == "bits":
-            val = Bits(_parse_pattern(p, "nat"))
-        elif head.text == "ords":
-            val = Ords(_parse_pattern(p, "ordinal"))
-        elif head.text == "family":
-            p.open()
-            comps = []
-            while not p.at_close():
-                comps.append(_parse_point(p))
-            p.close()
-            asg = _parse_pattern(p, "nat")
-            val = Family(comps, asg)
-        elif head.text == "tagged":
-            tag = p.ordinal_atom("a tag ordinal")
-            val = Tagged(tag, _parse_point(p))
-        elif head.text == "word":
-            if p.at_close():
-                val = word_from_bits([])
-            else:
-                t = p.atom("a bit string")
-                if t.text and set(t.text) <= {"0", "1"}:
-                    val = word_from_bits([int(ch) for ch in t.text])
-                else:
-                    raise DslError(f"expected a bit string, got {t.text!r}", t.line, t.col)
-        else:
-            raise DslError(f"unknown point form {head.text!r}", head.line, head.col)
-    except SpaceError as exc:
-        raise _guard(lp, exc) from None
-    p.close()
-    return val
+_POINTS = _Table("point form", (SpaceError,), {
+    "bits": lambda a: Bits(_pattern(a, "nat")),
+    "ords": lambda a: Ords(_pattern(a, "ordinal")),
+    "family": lambda a: Family(
+        [_build(_POINTS, x) for x in a.expect("form", "'('").items], _pattern(a, "nat")
+    ),
+    "tagged": lambda a: Tagged(a.ordinal("a tag ordinal"), a.read(_POINTS)),
+    "word": lambda a: a.bits() if a.more() else word_from_bits([]),
+})
+
+
+def _sum(a: _Args) -> TaggedSum:
+    parts = a.many(a.read, _SPACES)
+    if not parts:
+        raise _error(a.head, "sum of no spaces")
+    return TaggedSum(parts)
+
+
+_SPACES = _Table("space", (), {
+    "family-of": lambda a: FamilyOf(a.read(_SPACES)),
+    "sum": _sum,
+    "tower": lambda a: TowerSum(a.read(_SPACES)),
+}, words={"bits": BITS, "ords": ORDS})
+
+
+def _word_str(w: FiniteWord) -> str:
+    return "".join(str(pm_eval(w.bits, nat(i))) for i in range(w.dom.to_nat()))
 
 
 def print_point(x) -> str:
@@ -421,43 +495,9 @@ def print_point(x) -> str:
     if isinstance(x, Tagged):
         return f"(tagged {x.tag} {print_point(x.payload)})"
     if isinstance(x, FiniteWord):
-        from .patterns import pm_eval
-
-        k = x.dom.to_nat()
-        bits = "".join(str(pm_eval(x.bits, nat(i))) for i in range(k))
-        return f"(word {bits})" if k else "(word)"
+        bits = _word_str(x)
+        return f"(word {bits})" if bits else "(word)"
     raise TypeError(f"not a point: {x!r}")
-
-
-# -- spaces -----------------------------------------------------------------
-
-
-def _parse_space(p: _Parser) -> SpaceDescriptor:
-    t = p.next()
-    if t.kind == "atom":
-        if t.text == "bits":
-            return BITS
-        if t.text == "ords":
-            return ORDS
-        raise DslError(f"unknown space {t.text!r}", t.line, t.col)
-    if t.kind != "(":
-        raise DslError(f"expected a space, got {t.text!r}", t.line, t.col)
-    head = p.atom("a space form")
-    if head.text == "family-of":
-        sp: SpaceDescriptor = FamilyOf(_parse_space(p))
-    elif head.text == "sum":
-        parts = []
-        while not p.at_close():
-            parts.append(_parse_space(p))
-        if not parts:
-            raise DslError("sum of no spaces", head.line, head.col)
-        sp = TaggedSum(tuple(parts))
-    elif head.text == "tower":
-        sp = TowerSum(_parse_space(p))
-    else:
-        raise DslError(f"unknown space form {head.text!r}", head.line, head.col)
-    p.close()
-    return sp
 
 
 def print_space(sp: SpaceDescriptor) -> str:
@@ -474,51 +514,33 @@ def print_space(sp: SpaceDescriptor) -> str:
     raise TypeError(f"not a space: {sp!r}")
 
 
-# -- relations ---------------------------------------------------------------
+# ---------------------------------------------------------------------------
+# relations
+# ---------------------------------------------------------------------------
 
 
-def _parse_rel(p: _Parser) -> EqRelHandle:
-    lp = p.open()
-    head = p.atom("a relation form")
-    name = head.text
-    try:
-        if name in ("id", "e0", "idplus", "idplus-star"):
-            sp = BITS if p.at_close() else _parse_space(p)
-            maker = {
-                "id": rel_id,
-                "e0": rel_e0,
-                "idplus": rel_idplus,
-                "idplus-star": rel_idplus_star,
-            }[name]
-            rel = maker(sp)
-        elif name == "e1":
-            rel = rel_e1()
-        elif name == "e1-approx":
-            rel = rel_e1_approx(p.ordinal_atom("an approximation level"))
-        elif name == "cub":
-            mode = p.atom("literal|structural")
-            vals = p.atom("binary|ordinal")
-            rel = rel_cub(mode=mode.text.capitalize(), value_space=vals.text)
-        elif name == "jump":
-            rel = rel_jump(_parse_rel(p))
-        elif name == "join":
-            parts = []
-            while not p.at_close():
-                parts.append(_parse_rel(p))
-            rel = rel_join(tuple(parts))
-        elif name == "tower-join":
-            rel = make_tower(_parse_rel(p), OMEGA)
-        else:
-            raise DslError(f"unknown relation {name!r}", head.line, head.col)
-    except RelationError as exc:
-        raise _guard(lp, exc) from None
-    p.close()
-    return rel
+def _on_space(make: Callable[[SpaceDescriptor], EqRelHandle]):
+    return lambda a: make(a.read(_SPACES) if a.more() else BITS)
+
+
+_RELATIONS = _Table("relation", (RelationError,), {
+    "id": _on_space(rel_id),
+    "e0": _on_space(rel_e0),
+    "e1": lambda a: rel_e1(),
+    "e1-approx": lambda a: rel_e1_approx(a.ordinal("an approximation level")),
+    "idplus": _on_space(rel_idplus),
+    "idplus-star": _on_space(rel_idplus_star),
+    "cub": lambda a: rel_cub(
+        mode=a.atom("literal|structural").text.capitalize(),
+        value_space=a.atom("binary|ordinal").text,
+    ),
+    "jump": lambda a: rel_jump(a.read(_RELATIONS)),
+    "join": lambda a: rel_join(a.many(a.read, _RELATIONS)),
+    "tower-join": lambda a: make_tower(a.read(_RELATIONS), OMEGA),
+})
 
 
 def print_rel(rel: EqRelHandle) -> str:
-    from .relations import Cub, E0, E1, E1Approx, Id, IdPlus, IdPlusStar, Join, Jump, TowerJoin
-
     k = rel.kind
     if isinstance(k, Id):
         return "(id)" if rel.space == BITS else f"(id {print_space(rel.space)})"
@@ -545,149 +567,69 @@ def print_rel(rel: EqRelHandle) -> str:
     raise TypeError(f"not a relation handle: {rel!r}")
 
 
-# -- codes --------------------------------------------------------------------
+# ---------------------------------------------------------------------------
+# codes
+# ---------------------------------------------------------------------------
 
 
-def _parse_code_atom(p: _Parser):
-    lp = p.open()
-    head = p.atom("an atom form")
-    side_tok = p.atom("a side")
-    side = side_tok.text
-    try:
-        if head.text == "prefix":
-            word = word_from_bits([])
-            if not p.at_close():
-                t = p.atom("a bit string")
-                word = word_from_bits([int(ch) for ch in t.text]) if set(t.text) <= {"0", "1"} and t.text else None
-                if word is None:
-                    raise DslError(f"expected a bit string, got {t.text!r}", t.line, t.col)
-            atom = InitialSegment(word, side)
-        elif head.text == "comp":
-            word = word_from_bits([])
-            path: Tuple[Ordinal, ...] = ()
-            saw_path = False
-            while not p.at_close():
-                t = p.peek()
-                if t.kind == "atom":
-                    if set(t.text) <= {"0", "1"} and t.text:
-                        word = word_from_bits([int(ch) for ch in p.next().text])
-                    else:
-                        raise DslError(f"expected a bit string, got {t.text!r}", t.line, t.col)
-                else:
-                    p.open()
-                    kw = p.atom("path")
-                    if kw.text != "path":
-                        raise DslError(f"expected (path ...), got {kw.text!r}", kw.line, kw.col)
-                    entries = []
-                    while not p.at_close():
-                        entries.append(p.ordinal_atom())
-                    p.close()
-                    path = tuple(entries)
-                    saw_path = True
-            if not saw_path:
-                raise DslError("component atom needs a (path ...)", head.line, head.col)
-            atom = ComponentConstraint(path, word, side)
-        elif head.text == "tag":
-            tag = p.ordinal_atom("a tag ordinal")
-            path = ()
-            unwrap = 0
-            while not p.at_close():
-                p.open()
-                kw = p.atom("path|unwrap")
-                if kw.text == "path":
-                    entries = []
-                    while not p.at_close():
-                        entries.append(p.ordinal_atom())
-                    path = tuple(entries)
-                elif kw.text == "unwrap":
-                    unwrap = p.nat_atom("an unwrap count")
-                else:
-                    raise DslError(f"unknown tag option {kw.text!r}", kw.line, kw.col)
-                p.close()
-            atom = TagEquals(tag, side, path, unwrap)
-        else:
-            raise DslError(f"unknown atom form {head.text!r}", head.line, head.col)
-    except CodeError as exc:
-        raise _guard(lp, exc) from None
-    p.close()
-    return atom
+def _path(a: _Args) -> Tuple[Ordinal, ...]:
+    return a.many(a.ordinal)
 
 
-def _parse_node(p: _Parser) -> Tuple[Ordinal, ...]:
-    p.open()
-    kw = p.atom("node")
-    if kw.text != "node":
-        raise DslError(f"expected (node ...), got {kw.text!r}", kw.line, kw.col)
-    entries = []
-    while not p.at_close():
-        entries.append(p.ordinal_atom())
-    p.close()
-    return tuple(entries)
+_COMP_OPTIONS = _Table("component option", (), {"path": _path})
+_TAG_OPTIONS = _Table("tag option", (), {"path": _path, "unwrap": lambda a: a.nat("an unwrap count")})
 
 
-def _parse_code(p: _Parser) -> BorelCode:
-    lp = p.open()
-    head = p.atom("a code form")
-    try:
-        if head.text == "id-code":
-            code = code_id(word_bound=p.nat_atom("a word bound"))
-        elif head.text == "jump-code":
-            inner = _parse_code(p)
-            code = code_jump(inner, index_bound=p.nat_atom("an index bound"))
-        elif head.text == "join-code":
-            parts = []
-            while not p.at_close():
-                parts.append(_parse_code(p))
-            code = code_join(parts)
-        elif head.text == "code":
-            space = _parse_space(p)
-            arity = p.nat_atom("an arity")
-            p.open()
-            kw = p.atom("tree")
-            if kw.text != "tree":
-                raise DslError(f"expected (tree ...), got {kw.text!r}", kw.line, kw.col)
-            nodes = []
-            while not p.at_close():
-                nodes.append(_parse_node(p))
-            p.close()
-            p.open()
-            kw = p.atom("labels")
-            if kw.text != "labels":
-                raise DslError(f"expected (labels ...), got {kw.text!r}", kw.line, kw.col)
-            labels = {}
-            while not p.at_close():
-                p.open()
-                lw = p.atom("leaf")
-                if lw.text != "leaf":
-                    raise DslError(f"expected (leaf ...), got {lw.text!r}", lw.line, lw.col)
-                node = _parse_node(p)
-                mode = p.atom("all|iff").text
-                atoms = []
-                guards: tuple = ()
-                while not p.at_close():
-                    t = p.peek()
-                    save = p.pos
-                    p.open()
-                    kw2 = p.atom("an atom or guards")
-                    if kw2.text == "guards":
-                        gs = []
-                        while not p.at_close():
-                            gs.append(_parse_code_atom(p))
-                        p.close()
-                        guards = tuple(gs)
-                    else:
-                        p.pos = save
-                        atoms.append(_parse_code_atom(p))
-                labels[node] = LeafCondition(tuple(atoms), mode, guards)
-                p.close()
-            p.close()
-            code = BorelCode(CodeTree(nodes), labels, space, arity)
-        else:
-            raise DslError(f"unknown code form {head.text!r}", head.line, head.col)
-    except CodeError as exc:
-        raise _guard(lp, exc) from None
-    p.close()
-    return code
+def _prefix(a: _Args) -> InitialSegment:
+    side = a.atom("a side").text
+    return InitialSegment(a.bits() if a.more() else word_from_bits([]), side)
+
+
+def _comp(a: _Args) -> ComponentConstraint:
+    side = a.atom("a side").text
+    word = a.bits() if a.peek().kind == "atom" else word_from_bits([])
+    return ComponentConstraint(_clauses(a, _COMP_OPTIONS, "component atom")["path"], word, side)
+
+
+def _tag(a: _Args) -> TagEquals:
+    side, tag = a.atom("a side").text, a.ordinal("a tag ordinal")
+    opts = _clauses(a, _TAG_OPTIONS)
+    return TagEquals(tag, side, opts.get("path", ()), opts.get("unwrap", 0))
+
+
+_CODE_ATOMS = _Table("atom form", (CodeError,), {"prefix": _prefix, "comp": _comp, "tag": _tag})
+_GUARDS = _Table("leaf clause", (), {"guards": lambda a: a.many(a.read, _CODE_ATOMS)})
+_NODES = _Table("node", (), {"node": _path})
+
+
+def _leaf(a: _Args) -> Tuple[Tuple[Ordinal, ...], LeafCondition]:
+    node, mode = a.read(_NODES), a.atom("all|iff").text
+    atoms = []
+    while a.more() and _head(a.peek()) != "guards":
+        atoms.append(a.read(_CODE_ATOMS))
+    guards = _clauses(a, _GUARDS).get("guards", ())
+    return node, LeafCondition(tuple(atoms), mode, guards)
+
+
+_LEAVES = _Table("leaf", (), {"leaf": _leaf})
+_CODE_PARTS = _Table("code clause", (), {
+    "tree": lambda a: a.many(a.read, _NODES),
+    "labels": lambda a: dict(a.many(a.read, _LEAVES)),
+})
+
+
+def _code(a: _Args) -> BorelCode:
+    space, arity = a.read(_SPACES), a.nat("an arity")
+    parts = _clauses(a, _CODE_PARTS, "code")
+    return BorelCode(CodeTree(parts["tree"]), parts["labels"], space, arity)
+
+
+_CODES = _Table("code form", (CodeError,), {
+    "id-code": lambda a: code_id(word_bound=a.nat("a word bound")),
+    "jump-code": lambda a: code_jump(a.read(_CODES), index_bound=a.nat("an index bound")),
+    "join-code": lambda a: code_join(list(a.many(a.read, _CODES))),
+    "code": _code,
+})
 
 
 def _print_atom(a) -> str:
@@ -707,12 +649,6 @@ def _print_atom(a) -> str:
             parts.append(f" (unwrap {a.unwrap})")
         return "".join(parts) + ")"
     raise TypeError(f"not an atom: {a!r}")
-
-
-def _word_str(w: FiniteWord) -> str:
-    from .patterns import pm_eval
-
-    return "".join(str(pm_eval(w.bits, nat(i))) for i in range(w.dom.to_nat()))
 
 
 def _node_str(node) -> str:
@@ -746,53 +682,34 @@ def print_code(code: BorelCode) -> str:
     return out + "))"
 
 
-# -- actions -------------------------------------------------------------------
+# ---------------------------------------------------------------------------
+# actions
+# ---------------------------------------------------------------------------
 
 
-def _parse_action(p: _Parser) -> GroupAction:
-    lp = p.open()
-    head = p.atom("action")
-    if head.text != "action":
-        raise DslError(f"expected (action ...), got {head.text!r}", head.line, head.col)
-    t = p.next()
-    try:
-        if t.kind == "atom":
-            if t.text == "z2":
-                group = cyclic_group(2)
-            elif t.text == "z4":
-                group = cyclic_group(4)
-            elif t.text == "s3":
-                group = symmetric_group(3)[0]
-            else:
-                raise DslError(f"unknown group {t.text!r}", t.line, t.col)
-        else:
-            kw = p.atom("cyclic")
-            if kw.text != "cyclic":
-                raise DslError(f"unknown group form {kw.text!r}", kw.line, kw.col)
-            group = cyclic_group(p.nat_atom("a group order"))
-            p.close()
-        p.open()
-        kind = p.atom("permute|xor")
-        k = p.nat_atom("a coordinate width")
+def _rule(make: Callable) -> Callable[[_Args], object]:
+    def read(a: _Args):
+        k = a.nat("a coordinate width")
         if k > 9:
-            raise DslError("coordinate blocks wider than 9 have no text form", kind.line, kind.col)
+            raise _error(a.head, "coordinate blocks wider than 9 have no text form")
         rows = []
-        while not p.at_close():
-            rt = p.atom("a digit string")
+        while a.more():
+            rt = a.atom("a digit string")
             if len(rt.text) != k or not rt.text.isdigit():
-                raise DslError(f"expected {k} digits, got {rt.text!r}", rt.line, rt.col)
+                raise _error(rt, f"expected {k} digits, got {rt.text!r}")
             rows.append(tuple(int(ch) for ch in rt.text))
-        p.close()
-        if kind.text == "permute":
-            act = GroupAction(group, PermuteCoords(tuple(rows), k))
-        elif kind.text == "xor":
-            act = GroupAction(group, XorMasks(tuple(rows), k))
-        else:
-            raise DslError(f"unknown action rule {kind.text!r}", kind.line, kind.col)
-    except GroupError as exc:
-        raise _guard(lp, exc) from None
-    p.close()
-    return act
+        return make(tuple(rows), k)
+
+    return read
+
+
+_GROUPS = _Table("group", (), {
+    "cyclic": lambda a: cyclic_group(a.nat("a group order")),
+}, words={"z2": cyclic_group(2), "z4": cyclic_group(4), "s3": symmetric_group(3)[0]})
+_RULES = _Table("action rule", (), {"permute": _rule(PermuteCoords), "xor": _rule(XorMasks)})
+_ACTIONS = _Table("action", (GroupError,), {
+    "action": lambda a: GroupAction(a.read(_GROUPS), a.read(_RULES)),
+})
 
 
 def _group_name(group: FiniteGroup) -> str:
@@ -811,160 +728,95 @@ def print_action(act: GroupAction) -> str:
     return f"(action {_group_name(act.group)} ({kind} {rule.k} {body}))"
 
 
-# -- reduction specs and CLI documents ----------------------------------------
+# ---------------------------------------------------------------------------
+# reduction specs and CLI documents
+# ---------------------------------------------------------------------------
 
 
-def _parse_policy(p: _Parser) -> GenPolicy:
-    t = p.next()
-    try:
-        if t.kind == "atom":
-            if t.text == "exhaustive":
-                return GenPolicy("exhaustive")
-            raise DslError(f"unknown pair policy {t.text!r}", t.line, t.col)
-        head = p.atom("sampled|constructed")
-        if head.text == "sampled":
-            pol = GenPolicy("sampled", n=p.nat_atom("a sample count"))
-        elif head.text == "constructed":
-            pol = GenPolicy(
-                "constructed",
-                n_eq=p.nat_atom("an equivalent-pair count"),
-                n_ineq=p.nat_atom("an inequivalent-pair count"),
-            )
-        else:
-            raise DslError(f"unknown pair policy {head.text!r}", head.line, head.col)
-    except HarnessError as exc:
-        raise _guard(t, exc) from None
-    p.close()
-    return pol
+_POLICIES = _Table("pair policy", (HarnessError,), {
+    "sampled": lambda a: GenPolicy("sampled", n=a.nat("a sample count")),
+    "constructed": lambda a: GenPolicy(
+        "constructed",
+        n_eq=a.nat("an equivalent-pair count"),
+        n_ineq=a.nat("an inequivalent-pair count"),
+    ),
+}, words={"exhaustive": GenPolicy("exhaustive")})
+_REDUCTION_CLAUSES = _Table("reduction clause", (), {
+    "source": lambda a: a.read(_RELATIONS),
+    "target": lambda a: a.read(_RELATIONS),
+    "map": lambda a: (a.atom("a map name").text, a.many(a.nat, "a map argument")),
+    "pairs": lambda a: a.read(_POLICIES),
+})
 
 
-def _parse_reduction(p: _Parser, lp: Token) -> ReductionSpec:
-    fields = {}
-    while not p.at_close():
-        p.open()
-        kw = p.atom("source|target|map|pairs")
-        if kw.text in fields:
-            raise DslError(f"duplicate {kw.text} clause", kw.line, kw.col)
-        if kw.text == "source":
-            fields["source"] = _parse_rel(p)
-        elif kw.text == "target":
-            fields["target"] = _parse_rel(p)
-        elif kw.text == "map":
-            name = p.atom("a map name").text
-            args = []
-            while not p.at_close():
-                args.append(p.nat_atom("a map argument"))
-            fields["map"] = (name, tuple(args))
-        elif kw.text == "pairs":
-            fields["pairs"] = _parse_policy(p)
-        else:
-            raise DslError(f"unknown reduction clause {kw.text!r}", kw.line, kw.col)
-        p.close()
-    missing = {"source", "target", "map", "pairs"} - set(fields)
-    if missing:
-        raise DslError(f"reduction spec missing {sorted(missing)}", lp.line, lp.col)
-    name, args = fields["map"]
-    try:
-        return ReductionSpec(fields["source"], fields["target"], name, args, fields["pairs"])
-    except HarnessError as exc:
-        raise _guard(lp, exc) from None
+def _reduction(a: _Args) -> ReductionSpec:
+    c = _clauses(a, _REDUCTION_CLAUSES, "reduction spec")
+    name, args = c["map"]
+    return ReductionSpec(c["source"], c["target"], name, args, c["pairs"])
 
 
-def _parse_form(p: _Parser):
-    lp = p.peek()
-    save = p.pos
-    p.open()
-    head = p.atom("a form")
-    name = head.text
-    p.pos = save
-    if name in ("bits", "ords", "family", "tagged", "word"):
-        return _parse_point(p)
-    if name in ("family-of", "sum", "tower"):
-        return _parse_space(p)
-    if name in ("id", "e0", "e1", "e1-approx", "idplus", "idplus-star", "cub", "jump", "join", "tower-join"):
-        return _parse_rel(p)
-    if name in ("id-code", "jump-code", "join-code", "code"):
-        return _parse_code(p)
-    if name == "action":
-        return _parse_action(p)
-    if name == "reduction":
-        p.open()
-        p.atom("reduction")
-        spec = _parse_reduction(p, lp)
-        p.close()
-        return spec
-    if name == "game":
-        p.open()
-        p.atom("game")
-        code = _parse_code(p)
-        pts = []
-        while not p.at_close():
-            pts.append(_parse_point(p))
-        p.close()
-        if not pts:
-            raise DslError("game document without points", lp.line, lp.col)
-        return GameSpec(code, tuple(pts))
-    if name == "approx":
-        p.open()
-        p.atom("approx")
-        code = _parse_code(p)
-        pts: list = []
-        probes = 0
-        while not p.at_close():
-            p.open()
-            kw = p.atom("points|probes")
-            if kw.text == "points":
-                while not p.at_close():
-                    pts.append(_parse_point(p))
-            elif kw.text == "probes":
-                probes = p.nat_atom("a probe count")
-            else:
-                raise DslError(f"unknown approx clause {kw.text!r}", kw.line, kw.col)
-            p.close()
-        p.close()
-        return ApproxSpec(code, tuple(pts), probes)
-    if name == "orbit":
-        p.open()
-        p.atom("orbit")
-        act = _parse_action(p)
-        point = None
-        pairs = 0
-        while not p.at_close():
-            p.open()
-            kw = p.atom("point|pairs")
-            if kw.text == "point":
-                pt = _parse_point(p)
-                if not isinstance(pt, Bits):
-                    raise DslError("orbit base point must be a bit sequence", kw.line, kw.col)
-                point = pt
-            elif kw.text == "pairs":
-                pairs = p.nat_atom("a pair count")
-            else:
-                raise DslError(f"unknown orbit clause {kw.text!r}", kw.line, kw.col)
-            p.close()
-        p.close()
-        return OrbitSpec(act, point, pairs)
-    raise DslError(f"unknown form {name!r}", head.line, head.col)
+def _game(a: _Args) -> GameSpec:
+    code, points = a.read(_CODES), a.many(a.read, _POINTS)
+    if not points:
+        raise _error(a.form, "game document without points")
+    return GameSpec(code, points)
+
+
+_APPROX_CLAUSES = _Table("approx clause", (), {
+    "points": lambda a: a.many(a.read, _POINTS),
+    "probes": lambda a: a.nat("a probe count"),
+})
+
+
+def _approx(a: _Args) -> ApproxSpec:
+    code = a.read(_CODES)
+    c = _clauses(a, _APPROX_CLAUSES)
+    return ApproxSpec(code, c.get("points", ()), c.get("probes", 0))
+
+
+def _orbit_point(a: _Args) -> Bits:
+    point = a.read(_POINTS)
+    if not isinstance(point, Bits):
+        raise _error(a.head, "orbit base point must be a bit sequence")
+    return point
+
+
+_ORBIT_CLAUSES = _Table("orbit clause", (), {
+    "point": _orbit_point,
+    "pairs": lambda a: a.nat("a pair count"),
+})
+
+
+def _orbit(a: _Args) -> OrbitSpec:
+    action = a.read(_ACTIONS)
+    c = _clauses(a, _ORBIT_CLAUSES)
+    return OrbitSpec(action, c.get("point"), c.get("pairs", 0))
+
+
+_DOCUMENTS = _Table("form", (HarnessError,), {
+    "reduction": _reduction,
+    "game": _game,
+    "approx": _approx,
+    "orbit": _orbit,
+})
+_TOP = (_POINTS, _SPACES, _RELATIONS, _CODES, _ACTIONS, _DOCUMENTS)
 
 
 def parse_spec(text: str) -> WorkbenchSpec:
-    toks = _lex(text)
-    p = _Parser(toks)
-    t = p.peek()
-    if t is None:
+    a = _Args(_read(text))
+    if not a.more():
         raise DslError("empty document", 1, 1)
-    if t.kind == "(":
-        out = _parse_form(p)
-    elif t.kind == "range":
-        out = _parse_pattern(p, "auto")
-    elif t.kind == "atom" and t.text in ("bits", "ords"):
-        out = _parse_space(p)
+    first = a.peek()
+    if first.kind == "form":
+        head = _head(first)
+        out = _build(next((t for t in _TOP if head in t.forms), _DOCUMENTS), a.take("a form"))
+    elif first.kind == "range":
+        out = _pattern(a, "auto")
+    elif first.text in _SPACES.words:
+        out = _build(_SPACES, a.take("a space"))
     else:
-        tok = p.atom("an ordinal")
-        out = parse_ordinal_text(tok.text, tok.line, tok.col)
-    rest = p.peek()
-    if rest is not None:
-        raise DslError(f"trailing input {rest.text!r}", rest.line, rest.col)
+        out = a.ordinal()
+    a.done()
     return out
 
 

@@ -1,5 +1,5 @@
-"""Finite groups, free-word calculus, actions on sequence spaces, and the
-orbit-to-E0 reduction pipeline.
+"""Finite groups, their actions on sequence spaces, and the orbit-to-E0
+reduction pipeline.
 
 The pipeline has three stages.  `red_ac1` turns a point into its trace: for
 every enumerated cylinder, the set of group elements moving the point into
@@ -157,89 +157,6 @@ def symmetric_group(n: int) -> Tuple[FiniteGroup, Tuple[Tuple[int, ...], ...]]:
     if not gens:
         gens = [index[tuple(range(n))]]
     return FiniteGroup(table, gens), tuple(elems)
-
-
-# ---------------------------------------------------------------------------
-# free words and presentations
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FreeWord:
-    """Reduced word over formal generators: letters are (index, sign)."""
-
-    letters: Tuple[Tuple[int, int], ...]
-
-    def __post_init__(self):
-        for g, s in self.letters:
-            if s not in (1, -1) or g < 0:
-                raise GroupError(f"bad letter ({g}, {s})")
-        for (g1, s1), (g2, s2) in zip(self.letters, self.letters[1:]):
-            if g1 == g2 and s1 == -s2:
-                raise GroupError("word is not reduced")
-
-
-def free_reduce(letters: Iterable[Tuple[int, int]]) -> FreeWord:
-    stack: List[Tuple[int, int]] = []
-    for g, s in letters:
-        if stack and stack[-1][0] == g and stack[-1][1] == -s:
-            stack.pop()
-        else:
-            stack.append((g, s))
-    return FreeWord(tuple(stack))
-
-
-def fw_mul(u: FreeWord, v: FreeWord) -> FreeWord:
-    return free_reduce(u.letters + v.letters)
-
-
-def fw_inv(u: FreeWord) -> FreeWord:
-    return FreeWord(tuple((g, -s) for g, s in reversed(u.letters)))
-
-
-@dataclass(frozen=True)
-class Presentation:
-    """Projection from the free group onto a finite group via generator images."""
-
-    group: FiniteGroup
-    images: Tuple[int, ...]
-
-    def __post_init__(self):
-        if subgroup_closure(self.group, self.images) != frozenset(self.group.elements()):
-            raise GroupError("generator images do not generate the group")
-
-
-def pr_apply(p: Presentation, w: FreeWord) -> int:
-    out = p.group.identity
-    for g, s in w.letters:
-        if g >= len(p.images):
-            raise GroupError(f"word uses generator {g} outside the presentation")
-        img = p.images[g] if s == 1 else p.group.inv(p.images[g])
-        out = p.group.mul(out, img)
-    return out
-
-
-@dataclass(frozen=True)
-class SymbolicCoset:
-    """The free-group subset pr^{-1}(A), stored by its finite image A."""
-
-    pres: Presentation
-    elems: frozenset
-
-    def __post_init__(self):
-        for a in self.elems:
-            if not 0 <= a < self.pres.group.order:
-                raise GroupError(f"coset element {a} out of range")
-
-
-def coset_mul(s: SymbolicCoset, w: FreeWord) -> SymbolicCoset:
-    # pr^{-1}(A) * w = pr^{-1}(A * pr(w))
-    g = pr_apply(s.pres, w)
-    return SymbolicCoset(s.pres, frozenset(s.pres.group.mul(a, g) for a in s.elems))
-
-
-def coset_contains(s: SymbolicCoset, v: FreeWord) -> bool:
-    return pr_apply(s.pres, v) in s.elems
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Callable, List, Optional, Tuple
 from .config import WorkbenchConfig
 from .generators import equivalent_pair, gen_bits, inequivalent_pair, sample_pair
 from .groups import GroupAction, GroupError, ac1_criterion, cylinder_enumeration, orbit_decide, red_action_to_E0
-from .ordinals import ZERO, Ordinal, nat
+from .ordinals import OMEGA_SQ, ZERO, Ordinal, nat
 from .patterns import PatternMap, pm_eval, pm_write_finite
 from .reductions import (
     ReductionError,
@@ -34,7 +34,6 @@ from .spaces import (
     Bits,
     Family,
     FamilyOf,
-    FiniteWord,
     Ords,
     Point,
     SpaceError,
@@ -394,6 +393,9 @@ def verify_reduction(spec: ReductionSpec, config: Optional[WorkbenchConfig] = No
     cfg = config or WorkbenchConfig()
     t0 = time.perf_counter()
     try:
+        if cfg.lam != OMEGA_SQ:
+            # the pair generators draw below w^2 whatever the bound
+            raise HarnessError(f"reductions are checked at lambda w^2 only, not {cfg.lam}")
         res = _resolve(spec, cfg)
         rng = random.Random(cfg.seed)
         pairs = _generate(spec, cfg, res, rng)

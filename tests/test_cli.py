@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -122,6 +126,16 @@ def test_check_reduction_raising_map_exits_2(capsys, tmp_path):
     assert err.startswith("gbs: pair 1 raised under e0-to-idplus")
 
 
+def test_check_reduction_rejects_unchecked_lambda(capsys):
+    # the pair generators draw below w^2, so no other bound may be reported
+    code, out, err = run(capsys, "--lambda", "w^3", "check-reduction", SPECS / "e1-to-e0.gbs", "--json")
+    assert code == 2
+    j = json.loads(out)
+    assert j["verdict"] == "inputError"
+    assert j["checked"] == 0
+    assert err.startswith("gbs: reductions are checked at lambda w^2 only")
+
+
 def test_check_reduction_wrong_document_kind(capsys):
     code, _, err = run(capsys, "check-reduction", SPECS / "game-id.gbs")
     assert code == 2
@@ -192,6 +206,21 @@ def test_malformed_file_reports_position(capsys):
     code, _, err = run(capsys, "check-reduction", MALFORMED / "zero-policy.gbs")
     assert code == 2
     assert "line 5" in err
+
+
+@pytest.mark.parametrize("text", ["]", "w]", "(e0 bits])"])
+def test_stray_bracket_exits_2_with_position(tmp_path, text):
+    # a child process, so that a parser that loops fails the test instead of hanging it
+    doc = tmp_path / "stray.gbs"
+    doc.write_text(text, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from gbs.cli import main; sys.exit(main())",
+         "check-reduction", str(doc)],
+        capture_output=True, text=True, timeout=5, env=env,
+    )
+    assert proc.returncode == 2
+    assert re.search(r"line 1, col \d+: ", proc.stderr), proc.stderr
 
 
 def test_missing_file(capsys):

@@ -121,6 +121,50 @@ def test_malformed_file_is_rejected_with_position(path):
     assert str(err).startswith(f"line {err.line}, col {err.col}:")
 
 
+# The exact message for each malformed file: position and wording together.
+MALFORMED_ERRORS = {
+    "bad-cub-mode": "line 1, col 1: unknown cub mode 'Literalish'",
+    "bad-ordinal": "line 1, col 1: not an ordinal term: 'w^'",
+    "bad-tag": "line 1, col 9: not an ordinal term: 'q'",
+    "bit-value": "line 1, col 1: bit sequence with values outside {0,1}",
+    "closed-range": "line 1, col 1: ranges are half-open: expected ')'",
+    "e1-approx-succ": "line 1, col 1: approximation level must be a limit",
+    "empty": "line 1, col 1: empty document",
+    "extra-rel-args": "line 1, col 5: expected ')', got 'extra'",
+    "family-bound": "line 1, col 1: component bound disagrees with assignment bound",
+    "family-index": "line 1, col 1: assignment value 5 is not a component index",
+    "game-no-points": "line 1, col 1: game document without points",
+    "join-empty": "line 1, col 1: join of no codes",
+    "mismatched-reduction": "line 1, col 1: map e0-to-e1 consumes bits, but the source relation lives on ords",
+    "missing-pairs": "line 1, col 1: reduction spec missing ['pairs']",
+    "missing-word": "line 1, col 14: unexpected end of input",
+    "non-permutation": "line 1, col 1: not a permutation of the coordinate block",
+    "orbit-ords-point": "line 1, col 35: orbit base point must be a bit sequence",
+    "probes-ordinal": "line 1, col 29: expected a probe count, got 'w'",
+    "rootless-code": "line 1, col 1: code tree without a root",
+    "trailing": "line 1, col 5: trailing input 'w'",
+    "truncated-range": "line 1, col 1: unterminated range",
+    "unbalanced-close": "line 1, col 10: trailing input ')'",
+    "unbalanced-open": "line 1, col 9: unexpected end of input",
+    "unknown-form": "line 1, col 2: unknown form 'frob'",
+    "unknown-group": "line 1, col 9: unknown group 'z5'",
+    "unknown-map": "line 1, col 1: unknown reduction map 'nosuch'",
+    "unsided-atom": "line 1, col 64: unknown atom side 'middle'",
+    "word-digits": "line 1, col 7: expected a bit string, got '012'",
+    "wrong-row-count": "line 1, col 1: one permutation per group element required",
+    "zero-policy": "line 5, col 10: constructed policy needs at least one pair",
+}
+
+
+def test_malformed_error_table():
+    got = {}
+    for path in _malformed_files():
+        with pytest.raises(DslError) as ei:
+            parse_spec(path.read_text())
+        got[path.stem] = str(ei.value)
+    assert got == MALFORMED_ERRORS
+
+
 def test_error_positions_are_not_all_at_the_start():
     hits = set()
     for path in _malformed_files():
@@ -129,6 +173,17 @@ def test_error_positions_are_not_all_at_the_start():
         except DslError as e:
             hits.add((e.line, e.col))
     assert len(hits) > 5
+
+
+@pytest.mark.parametrize("text", [
+    "(reduction (source (e0)) (source (e0)) (target (e1)) (map e0-to-e1) (pairs exhaustive))",
+    "(approx (id-code 2) (probes 1) (probes 2))",
+    "(orbit (action z2 (xor 2 00 11)) (pairs 3) (pairs 4))",
+    "(code bits 1 (tree (node) (node 0)) (labels (leaf (node 0) all (tag left 0 (unwrap 1) (unwrap 2)))))",
+])
+def test_repeated_clause_is_rejected(text):
+    with pytest.raises(DslError, match="duplicate"):
+        parse_spec(text)
 
 
 def test_multiline_error_position():

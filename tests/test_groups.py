@@ -8,25 +8,16 @@ from gbs.groups import (
     ChainSchedule,
     CylinderEnumeration,
     FiniteGroup,
-    FreeWord,
     GroupAction,
     GroupError,
     PermuteCoords,
-    Presentation,
-    SymbolicCoset,
     XorMasks,
     ac1_criterion,
-    coset_contains,
-    coset_mul,
     cyclic_group,
     cylinder_enumeration,
     default_chain,
-    free_reduce,
-    fw_inv,
-    fw_mul,
     orbit_decide,
     orbit_witness,
-    pr_apply,
     red_ac1,
     red_ac3_selector,
     red_action_to_E0,
@@ -68,65 +59,6 @@ def ind_omega() -> Bits:
     ]))
 
 
-# --- free words ------------------------------------------------------------------
-
-
-def reduce_oracle(letters):
-    """Rewrite to a fixpoint, cancelling the first adjacent inverse pair."""
-    vals = list(letters)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(vals) - 1):
-            if vals[i][0] == vals[i + 1][0] and vals[i][1] == -vals[i + 1][1]:
-                del vals[i : i + 2]
-                changed = True
-                break
-    return tuple(vals)
-
-
-def rand_letters(rng, n_gens=3, maxlen=12):
-    return [(rng.randrange(n_gens), rng.choice((1, -1))) for _ in range(rng.randrange(maxlen + 1))]
-
-
-def test_free_reduce_frozen():
-    assert free_reduce([(0, 1), (0, -1)]).letters == ()
-    # a b b^-1 a -> a a
-    assert free_reduce([(0, 1), (1, 1), (1, -1), (0, 1)]).letters == ((0, 1), (0, 1))
-    w = FreeWord(((0, 1), (1, -1)))
-    assert free_reduce(w.letters) == w
-
-
-def test_free_reduce_matches_fixpoint_oracle():
-    rng = random.Random(91)
-    for _ in range(300):
-        letters = rand_letters(rng)
-        got = free_reduce(letters)
-        assert got.letters == reduce_oracle(letters)
-        # idempotent, and syntactically reduced
-        assert free_reduce(got.letters) == got
-        for (g1, s1), (g2, s2) in zip(got.letters, got.letters[1:]):
-            assert not (g1 == g2 and s1 == -s2)
-
-
-def test_freeword_rejects_unreduced():
-    with pytest.raises(GroupError):
-        FreeWord(((0, 1), (0, -1)))
-    with pytest.raises(GroupError):
-        FreeWord(((0, 2),))
-
-
-def test_free_group_laws_on_samples():
-    rng = random.Random(92)
-    for _ in range(200):
-        u = free_reduce(rand_letters(rng))
-        v = free_reduce(rand_letters(rng))
-        w = free_reduce(rand_letters(rng))
-        assert fw_mul(fw_mul(u, v), w) == fw_mul(u, fw_mul(v, w))
-        assert fw_mul(u, fw_inv(u)).letters == ()
-        assert fw_inv(fw_inv(u)) == u
-
-
 # --- finite groups ---------------------------------------------------------------
 
 
@@ -158,51 +90,6 @@ def test_group_validation():
         FiniteGroup(Z4.table, (2,))
     with pytest.raises(GroupError):
         FiniteGroup([[0, 1], [1, 0], [0, 1]])
-
-
-# --- presentations and symbolic cosets --------------------------------------------
-
-
-def test_presentation_homomorphism():
-    pres = Presentation(S3, tuple(S3.generators))
-    assert pr_apply(pres, FreeWord(())) == S3.identity
-    rng = random.Random(93)
-    for _ in range(500):
-        u = free_reduce(rand_letters(rng, n_gens=2))
-        v = free_reduce(rand_letters(rng, n_gens=2))
-        assert pr_apply(pres, fw_mul(u, v)) == S3.mul(pr_apply(pres, u), pr_apply(pres, v))
-    for i, g in enumerate(pres.images):
-        assert pr_apply(pres, FreeWord(((i, 1),))) == g
-        assert pr_apply(pres, FreeWord(((i, -1),))) == S3.inv(g)
-
-
-def test_presentation_requires_generating_images():
-    with pytest.raises(GroupError, match="generate"):
-        Presentation(Z4, (2,))
-
-
-def test_coset_lifting_law():
-    pres = Presentation(Z4, (1,))
-    kernel = SymbolicCoset(pres, frozenset({0}))
-    a = FreeWord(((0, 1),))
-    assert coset_mul(kernel, a).elems == frozenset({1})
-    # v in S*w iff v*w^-1 in S, sampled
-    rng = random.Random(94)
-    for _ in range(400):
-        s = SymbolicCoset(pres, frozenset(rng.sample(range(4), rng.randint(1, 4))))
-        w = free_reduce(rand_letters(rng, n_gens=1))
-        v = free_reduce(rand_letters(rng, n_gens=1))
-        assert coset_contains(coset_mul(s, w), v) == coset_contains(s, fw_mul(v, fw_inv(w)))
-
-
-def test_coset_mul_composes():
-    pres = Presentation(S3, tuple(S3.generators))
-    rng = random.Random(95)
-    for _ in range(100):
-        s = SymbolicCoset(pres, frozenset(rng.sample(range(6), rng.randint(1, 6))))
-        u = free_reduce(rand_letters(rng, n_gens=2))
-        v = free_reduce(rand_letters(rng, n_gens=2))
-        assert coset_mul(coset_mul(s, u), v) == coset_mul(s, fw_mul(u, v))
 
 
 # --- actions ---------------------------------------------------------------------

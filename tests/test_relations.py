@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import zlib
 
 import pytest
 
@@ -75,7 +76,7 @@ CATALOG = [
 
 @pytest.mark.parametrize("rel", CATALOG, ids=str)
 def test_reflexive_on_samples(rel):
-    rng = random.Random(hash(str(rel)) & 0xFFFF)
+    rng = random.Random(zlib.crc32(str(rel).encode()))
     for _ in range(60):
         x = gen_point(rng, rel.space)
         assert decide(rel, x, x)
@@ -83,7 +84,7 @@ def test_reflexive_on_samples(rel):
 
 @pytest.mark.parametrize("rel", CATALOG, ids=str)
 def test_symmetric_on_samples(rel):
-    rng = random.Random(hash(str(rel)) & 0xFFFF ^ 1)
+    rng = random.Random(zlib.crc32(str(rel).encode()) ^ 1)
     for _ in range(60):
         x, y = sample_pair(rng, rel)
         assert decide(rel, x, y) == decide(rel, y, x)
@@ -91,7 +92,7 @@ def test_symmetric_on_samples(rel):
 
 @pytest.mark.parametrize("rel", CATALOG, ids=str)
 def test_transitive_on_chained_edits(rel):
-    rng = random.Random(hash(str(rel)) & 0xFFFF ^ 2)
+    rng = random.Random(zlib.crc32(str(rel).encode()) ^ 2)
     for _ in range(40):
         x, y, z = related_triple(rng, rel)
         assert decide(rel, x, y) and decide(rel, y, z)
@@ -100,7 +101,7 @@ def test_transitive_on_chained_edits(rel):
 
 @pytest.mark.parametrize("rel", CATALOG, ids=str)
 def test_certified_pairs(rel):
-    rng = random.Random(hash(str(rel)) & 0xFFFF ^ 3)
+    rng = random.Random(zlib.crc32(str(rel).encode()) ^ 3)
     for _ in range(40):
         x, y = equivalent_pair(rng, rel)
         assert decide(rel, x, y)
