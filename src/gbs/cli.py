@@ -90,6 +90,17 @@ def _read_doc(path: str):
         raise ConfigError(f"{path}: {exc}") from None
 
 
+def _check_points(path: str, points, code: BorelCode, cfg: WorkbenchConfig) -> None:
+    """Document points must inhabit the code's space at the working bound."""
+    for pt in points:
+        try:
+            validate_point(pt, code.space)
+        except SpaceError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+        if point_bound(pt) != cfg.lam:
+            raise ConfigError(f"{path}: point bounded by {point_bound(pt)}, not lambda {cfg.lam}")
+
+
 def _emit(report: Report, as_json: bool, extra: Optional[dict] = None) -> int:
     if report.verdict == "inputError":
         print(f"gbs: {report.detail}", file=sys.stderr)
@@ -129,6 +140,7 @@ def _cmd_eval_game(args, cfg: WorkbenchConfig) -> int:
     code = doc.code
     if len(doc.points) != code.arity:
         return _fail(f"{args.file}: code of arity {code.arity} got {len(doc.points)} points")
+    _check_points(args.file, doc.points, code, cfg)
     t0 = time.perf_counter()
     inp = doc.points[0] if code.arity == 1 else tuple(doc.points)
     out = game_eval(inp, code)
@@ -148,8 +160,7 @@ def _cmd_approx(args, cfg: WorkbenchConfig) -> int:
     t0 = time.perf_counter()
     rng = random.Random(cfg.seed)
     pts = list(doc.points)
-    for pt in pts:
-        validate_point(pt, code.space)
+    _check_points(args.file, pts, code, cfg)
     need = doc.probes or cfg.sample_count
     while len(pts) < need * code.arity:
         pts.append(gen_point(rng, code.space, cfg.lam))

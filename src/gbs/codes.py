@@ -172,7 +172,8 @@ class CodeTree:
     def __init__(self, nodes: Iterable[Node]):
         seen = set()
         for n in nodes:
-            if not isinstance(n, tuple) or not all(isinstance(e, Ordinal) for e in n):
+            # type, not isinstance: an Ordinal is a tuple too, and ZERO == ()
+            if type(n) is not tuple or not all(isinstance(e, Ordinal) for e in n):
                 raise CodeError(f"not an ordinal-sequence node: {n!r}")
             seen.add(n)
         if () not in seen:
@@ -222,7 +223,7 @@ class BorelCode:
         labels = dict(labels)
         leaves = set(tree.leaves)
         for n, cond in labels.items():
-            if n not in leaves:
+            if type(n) is not tuple or n not in leaves:
                 raise CodeError(f"label on non-leaf node {n!r}")
             if not isinstance(cond, LeafCondition):
                 raise CodeError(f"not a leaf condition: {cond!r}")

@@ -60,7 +60,7 @@ from .groups import (
 )
 from .harness import GenPolicy, HarnessError, ReductionSpec
 from .ordinals import OMEGA, ZERO, Ordinal, nat
-from .patterns import PatternError, PatternMap, pm_eval
+from .patterns import PatternError, PatternMap
 from .relations import (
     E0,
     E1,
@@ -102,6 +102,7 @@ from .spaces import (
     TaggedSum,
     TowerSum,
     word_from_bits,
+    word_values,
 )
 
 __all__ = [
@@ -481,7 +482,7 @@ _SPACES = _Table("space", (), {
 
 
 def _word_str(w: FiniteWord) -> str:
-    return "".join(str(pm_eval(w.bits, nat(i))) for i in range(w.dom.to_nat()))
+    return "".join(map(str, word_values(w)))
 
 
 def print_point(x) -> str:

@@ -83,7 +83,7 @@ def gen_pattern(rng: random.Random, bound: Ordinal, alphabet, max_pieces: int = 
             if ZERO < o and o < bound:
                 cand.append(o)
     k = rng.randint(0, min(max_pieces - 1, len(cand)))
-    cuts = sorted(rng.sample(cand, k), key=lambda o: o.terms)
+    cuts = sorted(rng.sample(cand, k))
     edges = [ZERO] + cuts + [bound]
     raw = []
     for lo, hi in zip(edges, edges[1:]):

@@ -18,8 +18,8 @@ from typing import Callable, List, Optional, Tuple
 from .config import WorkbenchConfig
 from .generators import equivalent_pair, gen_bits, inequivalent_pair, sample_pair
 from .groups import GroupAction, GroupError, ac1_criterion, cylinder_enumeration, orbit_decide, red_action_to_E0
-from .ordinals import OMEGA_SQ, ZERO, Ordinal, nat
-from .patterns import PatternMap, pm_eval, pm_write_finite
+from .ordinals import OMEGA_SQ, ZERO, Ordinal
+from .patterns import PatternMap, pm_write_finite
 from .reductions import (
     ReductionError,
     decide_e0_off,
@@ -40,6 +40,7 @@ from .spaces import (
     Tagged,
     iter_words,
     word_from_bits,
+    word_values,
     xor_prefix,
     zeros,
 )
@@ -208,9 +209,7 @@ def _exhaustive_pool(cfg: WorkbenchConfig) -> List[Bits]:
     for tail in (0, 1):
         base = PatternMap.constant(cfg.lam, tail)
         for w in iter_words(cfg.word_bound.to_nat()):
-            k = w.dom.to_nat()
-            vals = [pm_eval(w.bits, nat(i)) for i in range(k)]
-            pool.append(Bits(pm_write_finite(base, vals)) if vals else Bits(base))
+            pool.append(Bits(pm_write_finite(base, word_values(w))))
     return pool
 
 

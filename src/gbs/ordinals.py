@@ -3,6 +3,9 @@
 An ordinal is a finite sum  w^e_1 * c_1 + ... + w^e_k * c_k  with strictly
 decreasing natural exponents e_i and positive natural coefficients c_i.
 That representation is unique, so structural equality is ordinal equality.
+An Ordinal is the tuple of its terms (e_i, c_i) and compares, hashes and
+tests equal as that tuple: with strictly decreasing exponents, lexicographic
+order on term tuples is the ordinal order (a proper prefix is smaller).
 Every position alpha decomposes uniquely as  w * beta + n  with n < w; the
 pair (beta, n) is the block index and the successor index used throughout
 the pattern-map machinery.
@@ -20,10 +23,10 @@ class OrdinalError(ValueError):
     """Malformed term list or an operation outside its domain."""
 
 
-class Ordinal:
-    __slots__ = ("_terms", "_hash")
+class Ordinal(tuple):
+    __slots__ = ()
 
-    def __init__(self, terms: Iterable[Term] = ()):
+    def __new__(cls, terms: Iterable[Term] = ()):
         terms = tuple((int(e), int(c)) for e, c in terms)
         last_e = None
         for e, c in terms:
@@ -32,12 +35,18 @@ class Ordinal:
             if last_e is not None and e >= last_e:
                 raise OrdinalError("CNF exponents must strictly decrease")
             last_e = e
-        self._terms = terms
-        self._hash = hash(terms)
+        return tuple.__new__(cls, terms)
+
+    # an ordinal is a value, not a container: zero is truthy, and the
+    # tuple's repetition is not ordinal multiplication
+    def __bool__(self) -> bool:
+        return True
+
+    __mul__ = __rmul__ = None
 
     @property
     def terms(self) -> Tuple[Term, ...]:
-        return self._terms
+        return tuple(self)
 
     @staticmethod
     def from_nat(n: int) -> "Ordinal":
@@ -45,43 +54,13 @@ class Ordinal:
             raise OrdinalError("naturals only")
         return _nat_interned(n)
 
-    # -- order ----------------------------------------------------------
-    # with strictly decreasing exponents, lexicographic order on the term
-    # tuples coincides with the ordinal order (a proper prefix is smaller)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Ordinal) and self._terms == other._terms
-
-    def __lt__(self, other: "Ordinal") -> bool:
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self._terms < other._terms
-
-    def __le__(self, other: "Ordinal") -> bool:
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self._terms <= other._terms
-
-    def __gt__(self, other: "Ordinal") -> bool:
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self._terms > other._terms
-
-    def __ge__(self, other: "Ordinal") -> bool:
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self._terms >= other._terms
-
-    def __hash__(self) -> int:
-        return self._hash
-
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "Ordinal | int") -> "Ordinal":
         other = _coerce(other)
-        if not other._terms:
+        if not len(other):
             return self
-        if not self._terms:
+        if not len(self):
             return other
         return _add_interned(self, other)
 
@@ -95,20 +74,20 @@ class Ordinal:
     def pred(self) -> "Ordinal":
         if not self.is_successor():
             raise OrdinalError(f"{self} has no predecessor")
-        e, c = self._terms[-1]
-        rest = self._terms[:-1]
+        e, c = self[-1]
+        rest = self[:-1]
         return Ordinal(rest + (((e, c - 1),) if c > 1 else ()))
 
     # -- kind and decomposition ------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not len(self)
 
     def is_successor(self) -> bool:
-        return bool(self._terms) and self._terms[-1][0] == 0
+        return len(self) > 0 and self[-1][0] == 0
 
     def is_limit(self) -> bool:
-        return bool(self._terms) and self._terms[-1][0] != 0
+        return len(self) > 0 and self[-1][0] != 0
 
     def kind(self) -> str:
         if self.is_zero():
@@ -117,14 +96,14 @@ class Ordinal:
 
     def nat_part(self) -> int:
         """n in the unique decomposition  self = w*beta + n."""
-        if self._terms and self._terms[-1][0] == 0:
-            return self._terms[-1][1]
+        if len(self) and self[-1][0] == 0:
+            return self[-1][1]
         return 0
 
     def limit_part(self) -> "Ordinal":
         """w*beta in the unique decomposition  self = w*beta + n."""
-        if self._terms and self._terms[-1][0] == 0:
-            return _interned(self._terms[:-1])
+        if len(self) and self[-1][0] == 0:
+            return _interned(self[:-1])
         return self
 
     def block_index(self) -> "Ordinal":
@@ -137,20 +116,20 @@ class Ordinal:
         return _block_start(beta)
 
     def to_nat(self) -> int:
-        if self._terms and self._terms[0][0] > 0:
+        if len(self) and self[0][0] > 0:
             raise OrdinalError(f"{self} is not finite")
         return self.nat_part()
 
     def is_nat(self) -> bool:
-        return not self._terms or self._terms[0][0] == 0
+        return not len(self) or self[0][0] == 0
 
     # -- rendering --------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not len(self):
             return "0"
         parts = []
-        for e, c in self._terms:
+        for e, c in self:
             if e == 0:
                 parts.append(str(c))
             else:
@@ -179,19 +158,18 @@ def _nat_interned(n: int) -> Ordinal:
 
 @functools.lru_cache(maxsize=8192)
 def _block_index(o: Ordinal) -> Ordinal:
-    return _interned(tuple((e - 1, c) for e, c in o.limit_part()._terms))
+    return _interned(tuple((e - 1, c) for e, c in o.limit_part()))
 
 
 @functools.lru_cache(maxsize=8192)
 def _block_start(beta: Ordinal) -> Ordinal:
-    return _interned(tuple((e + 1, c) for e, c in beta._terms))
+    return _interned(tuple((e + 1, c) for e, c in beta))
 
 
 @functools.lru_cache(maxsize=8192)
-def _left_sub(small: Ordinal, larger: Ordinal) -> Ordinal:
-    if larger < small:
-        raise OrdinalError(f"left_sub: {small} > {larger}")
-    a, b = small._terms, larger._terms
+def _left_sub(a: Ordinal, b: Ordinal) -> Ordinal:
+    if b < a:
+        raise OrdinalError(f"left_sub: {a} > {b}")
     k = 0
     while k < len(a) and k < len(b) and a[k] == b[k]:
         k += 1
@@ -212,10 +190,10 @@ def _left_sub(small: Ordinal, larger: Ordinal) -> Ordinal:
 
 @functools.lru_cache(maxsize=16384)
 def _add_interned(a: Ordinal, b: Ordinal) -> Ordinal:
-    lead = b._terms[0][0]
-    kept = [t for t in a._terms if t[0] > lead]
-    merged = list(b._terms)
-    for e, c in a._terms:
+    lead = b[0][0]
+    kept = [t for t in a if t[0] > lead]
+    merged = list(b)
+    for e, c in a:
         if e == lead:
             merged[0] = (lead, c + merged[0][1])
     return _interned(tuple(kept + merged))
@@ -259,7 +237,7 @@ def iter_below(bound: Ordinal, coeff_cap: int) -> Iterator[Ordinal]:
     """
     if bound.is_zero():
         return
-    max_e = bound.terms[0][0]
+    max_e = bound[0][0]
 
     def build(e: int, acc: Tuple[Term, ...]) -> Iterator[Ordinal]:
         if e < 0:

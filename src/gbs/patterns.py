@@ -101,7 +101,7 @@ class PatternMap:
             return PatternMap(bound, (), _canonical=True)
         if not plist:
             raise PatternError("no pieces on a nonempty domain")
-        plist.sort(key=lambda p: p.lo.terms)
+        plist.sort(key=lambda p: p.lo)
         cursor = ZERO
         for p in plist:
             if p.lo != cursor:
@@ -243,7 +243,7 @@ def _describe(bound: Ordinal, pieces: Tuple[Piece, ...]) -> _Description:
         vals, tail = _block_windows(pieces, beta, None)
         assert tail is not None
         runs.append(_BlockRun(beta, beta.succ(), _normal_content(lv, vals, tail)))
-    runs.sort(key=lambda r: r.lo.terms)
+    runs.sort(key=lambda r: r.lo)
 
     merged: list = []
     for r in runs:
@@ -298,9 +298,7 @@ def pm_zip(m1: PatternMap, m2: PatternMap, f: Callable[[Value, Value], Value]) -
         raise PatternError("zip of maps with different bounds")
     if m1.bound.is_zero():
         return PatternMap(m1.bound, (), _canonical=True)
-    bounds = sorted(
-        {p.lo for p in m1.pieces} | {p.lo for p in m2.pieces}, key=lambda o: o.terms
-    )
+    bounds = sorted({p.lo for p in m1.pieces} | {p.lo for p in m2.pieces})
     bounds.append(m1.bound)
     out = []
     for lo, hi in zip(bounds, bounds[1:]):
@@ -370,6 +368,20 @@ def pm_splice(m: PatternMap, at: Ordinal, head: PatternMap) -> PatternMap:
             continue
         tail.append(Piece(at if p.lo < at else p.lo, p.hi, p.limit_value, p.word))
     return PatternMap.build(m.bound, list(head.pieces) + tail)
+
+
+def pm_head(m: PatternMap, k: int) -> Tuple[Value, ...]:
+    """The values at positions 0..k-1, read off the pieces in order."""
+    if not Ordinal.from_nat(k) <= m.bound:
+        raise PatternError(f"{k} positions exceed domain {m.bound}")
+    vals: list = []
+    for p in m.pieces:
+        stop = min(p.hi.to_nat(), k) if p.hi.is_nat() else k
+        for n in range(len(vals), stop):
+            vals.append(p.word[(n - 1) % len(p.word)] if n else p.limit_value)
+        if len(vals) == k:
+            break
+    return tuple(vals)
 
 
 def pm_write_finite(m: PatternMap, values: Sequence[Value]) -> PatternMap:

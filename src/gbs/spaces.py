@@ -22,10 +22,12 @@ from .patterns import (
     PatternMap,
     Piece,
     pm_eval,
+    pm_head,
     pm_map,
     pm_restrict,
     pm_splice,
     pm_value_set,
+    pm_write_finite,
     pm_zip,
 )
 
@@ -215,7 +217,7 @@ def word_from_bits(values: Sequence[int]) -> FiniteWord:
 
 
 def word_values(w: FiniteWord) -> Tuple[int, ...]:
-    return tuple(pm_eval(w.bits, nat(i)) for i in range(w.dom.to_nat()))
+    return pm_head(w.bits, w.dom.to_nat())
 
 
 def iter_words(max_dom: int) -> Iterable[FiniteWord]:
@@ -358,15 +360,21 @@ def starts_with(x: Bits, w: FiniteWord) -> bool:
     """Cylinder membership: x extends the word w."""
     if x.bound < w.dom:
         raise SpaceError("cylinder word longer than the sequence")
-    return pm_restrict(x.seq, w.dom) == w.bits
+    if not w.dom.is_nat():
+        return pm_restrict(x.seq, w.dom) == w.bits
+    return pm_head(x.seq, w.dom.to_nat()) == word_values(w)
 
 
 def xor_prefix(w: FiniteWord, x: Bits) -> Bits:
     """Flip x below dom(w) according to w; leave the tail untouched."""
     if x.bound < w.dom:
         raise SpaceError("xor prefix longer than the sequence")
-    mask = zero_pad_embed(w, x.bound)
-    return Bits(pm_zip(x.seq, mask.bits, lambda a, b: a ^ b))
+    if not w.dom.is_nat():
+        mask = zero_pad_embed(w, x.bound)
+        return Bits(pm_zip(x.seq, mask.bits, lambda a, b: a ^ b))
+    head = pm_head(x.seq, w.dom.to_nat())
+    flipped = [a ^ b for a, b in zip(head, word_values(w))]
+    return Bits(pm_write_finite(x.seq, flipped))
 
 
 def diff_map(x: Point, y: Point) -> PatternMap:

@@ -166,6 +166,48 @@ def test_approx_lemma_passes(capsys):
     assert out.startswith("verdict: pass")
 
 
+APPROX_W2 = "(approx (id-code 2) (points (bits [0,w^2) lim=0 word=0)))\n"
+
+
+def test_eval_game_rejects_points_off_lambda(capsys):
+    code, out, err = run(capsys, "--lambda", "w^3", "eval-game", SPECS / "game-id.gbs", "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("gbs: ") and "point bounded by w^2, not lambda w^3" in err
+
+
+def test_approx_lemma_rejects_points_off_lambda(capsys, tmp_path):
+    doc = tmp_path / "mixed.gbs"
+    doc.write_text(APPROX_W2)
+    code, out, err = run(capsys, "--lambda", "w^3", "approx-lemma", doc, "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("gbs: ") and "point bounded by w^2, not lambda w^3" in err
+
+
+def test_document_points_pass_at_default_lambda(capsys, tmp_path):
+    doc = tmp_path / "approx.gbs"
+    doc.write_text(APPROX_W2)
+    code, out, _ = run(capsys, "approx-lemma", doc, "--json")
+    assert code == 0
+    j = json.loads(out)
+    assert (j["verdict"], j["checked"], j["lambda"]) == ("pass", 50, "w^2")
+    code, out, _ = run(capsys, "eval-game", SPECS / "game-id.gbs", "--json")
+    assert code == 0
+    assert (json.loads(out)["verdict"], json.loads(out)["lambda"]) == ("pass", "w^2")
+
+
+@pytest.mark.parametrize("doc", [
+    "(approx (id-code 2) (points (ords [0,w^2) lim=0 word=0)))",
+    "(game (id-code 3) (ords [0,w^2) lim=0 word=0) (bits [0,w^2) lim=0 word=0))",
+])
+def test_document_points_outside_the_code_space_exit_2(capsys, tmp_path, doc):
+    path = tmp_path / "doc.gbs"
+    path.write_text(doc + "\n")
+    command = "approx-lemma" if doc.startswith("(approx") else "eval-game"
+    code, _, err = run(capsys, command, path)
+    assert code == 2
+    assert err.startswith("gbs: ") and "point does not inhabit bits" in err
+
+
 def test_orbit_passes(capsys):
     code, out, _ = run(capsys, "orbit-e0", SPECS / "orbit-z4.gbs")
     assert code == 0

@@ -3,7 +3,9 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gbs.codes import BorelCode, CodeError, CodeTree, InitialSegment, LeafCondition
 from gbs.ordinals import (
     ONE,
     OMEGA,
@@ -17,6 +19,7 @@ from gbs.ordinals import (
     ord_max,
     ord_min,
 )
+from gbs.spaces import BITS, word_from_bits
 
 # ---------------------------------------------------------------------------
 # Oracle: ordinals below w^2 are exactly the pairs (q, n) of naturals,
@@ -232,3 +235,77 @@ def test_left_sub_roundtrip_sampled_above_w_squared():
         a, b = rng.choice(pool), rng.choice(pool)
         if a <= b:
             assert a + a.left_sub(b) == b
+
+
+# --- the tuple representation ---------------------------------------------
+# Oracle: with exponents <= 4 and coefficients <= 9, w^e_1*c_1 + ... reads
+# as the decimal number sum c_i * 10^e_i, and the ordinal order is the
+# order of those numbers (N = 10 exceeds every coefficient).
+
+PROPS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+TERM_LISTS = st.dictionaries(st.integers(0, 4), st.integers(1, 9), max_size=5).map(
+    lambda d: tuple(sorted(d.items(), reverse=True))
+)
+
+
+def decimal(o: Ordinal) -> int:
+    return sum(c * 10**e for e, c in o.terms)
+
+
+@PROPS
+@given(a=TERM_LISTS, b=TERM_LISTS)
+def test_order_matches_decimal_oracle(a, b):
+    x, y = Ordinal(a), Ordinal(b)
+    dx, dy = decimal(x), decimal(y)
+    assert (x < y, x <= y, x == y, x != y, x >= y, x > y) == (
+        dx < dy, dx <= dy, dx == dy, dx != dy, dx >= dy, dx > dy,
+    )
+    assert (ord_max(x, y), ord_min(x, y)) == ((y, x) if dx < dy else (x, y))
+
+
+@PROPS
+@given(terms=TERM_LISTS, k=st.integers(0, 5), n=st.integers(0, 9))
+def test_equal_values_are_equal_however_built(terms, k, n):
+    o = Ordinal(terms)
+    head, tail = Ordinal(terms[:k]), Ordinal(terms[k:])
+    summed = ZERO
+    for e, c in terms:  # each coefficient as two summands where it can be
+        summed = summed + Ordinal(((e, 1),))
+        if c > 1:
+            summed = summed + Ordinal(((e, c - 1),))
+    pairs = [(summed, o), (head + tail, o), (head.left_sub(o), tail)]
+    if k < len(terms) and terms[k][1] > 1:  # left_sub inside a coefficient
+        (e, c), rest = terms[k], terms[k + 1:]
+        pairs.append((Ordinal(terms[:k] + ((e, 1),)).left_sub(o), Ordinal(((e, c - 1),) + rest)))
+    if o >= OMEGA:
+        pairs.append((nat(n) + o, o))  # absorbed
+    if o < OMEGA_SQ:
+        pairs.append((omega_times(*to_pair(o)), o))
+    for built, want in pairs:
+        assert built == want and hash(built) == hash(want)
+        assert type(built) is Ordinal
+    assert hash(o) == hash(o.terms)  # set and dict orders as with the term tuples
+
+
+def test_kept_value_semantics():
+    assert bool(ZERO) and bool(ONE)
+    for bad in (lambda: ZERO * 2, lambda: 2 * OMEGA, lambda: OMEGA * OMEGA):
+        with pytest.raises(TypeError):
+            bad()
+    with pytest.raises(TypeError):
+        OMEGA < 3
+    assert Ordinal(((1, 2),)).terms == ((1, 2),) and type(OMEGA.terms) is tuple
+    assert str(ZERO) == "0" and repr(OMEGA) == "Ordinal[w]"
+
+
+def test_code_nodes_are_never_ordinals():
+    # ZERO == () as tuples: it must not pass for the root node or its label
+    with pytest.raises(CodeError):
+        CodeTree([ZERO])
+    with pytest.raises(CodeError):
+        CodeTree([(), ZERO])
+    leaf = LeafCondition((InitialSegment(word_from_bits([1])),))
+    with pytest.raises(CodeError):
+        BorelCode(CodeTree([()]), {ZERO: leaf}, BITS, 1)
+    assert BorelCode(CodeTree([()]), {(): leaf}, BITS, 1).labels == {(): leaf}

@@ -23,6 +23,7 @@ from gbs.patterns import (
     PatternMap,
     Piece,
     pm_eval,
+    pm_head,
     pm_map,
     pm_restrict,
     pm_splice,
@@ -524,3 +525,14 @@ def test_map_matches_build(m, f):
     mm = pm_map(m, f)
     assert mm == map_by_build(m, f)
     assert pm_value_set(mm) == frozenset(f(v) for v in pm_value_set(m))
+
+
+@PROPS
+@given(m=canonical_maps(), data=st.data())
+def test_head_matches_eval(m, data):
+    top = m.bound.to_nat() if m.bound.is_nat() else 12
+    k = data.draw(st.integers(0, top))
+    assert pm_head(m, k) == tuple(pm_eval(m, nat(i)) for i in range(k))
+    if m.bound.is_nat():
+        with pytest.raises(PatternError):
+            pm_head(m, top + 1)

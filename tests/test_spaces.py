@@ -3,9 +3,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gbs.ordinals import OMEGA, OMEGA_SQ, ZERO, nat, omega_times
-from gbs.patterns import PatternMap, pm_eval, pm_restrict, pm_splice, pm_write_finite
+from gbs.ordinals import OMEGA, OMEGA_SQ, ZERO, Ordinal, nat, omega_times
+from gbs.patterns import PatternMap, pm_eval, pm_restrict, pm_splice, pm_write_finite, pm_zip
 from gbs.spaces import (
     BITS,
     Bits,
@@ -254,6 +255,89 @@ def test_xor_prefix_frozen_example():
     w = word_from_bits([1, 1, 1])
     y = xor_prefix(w, zeros(L))
     assert y == indicator({0, 1, 2})
+
+
+# --- cylinders and prefix flips against their definitions ----------------------
+# The oracles are the definitions by whole maps: restrict then compare, and
+# pad the word with zeros then zip.
+
+
+def starts_with_by_restrict(x, w):
+    if x.bound < w.dom:
+        raise SpaceError("cylinder word longer than the sequence")
+    return pm_restrict(x.seq, w.dom) == w.bits
+
+
+def xor_prefix_by_zip(w, x):
+    if x.bound < w.dom:
+        raise SpaceError("xor prefix longer than the sequence")
+    mask = zero_pad_embed(w, x.bound)
+    return Bits(pm_zip(x.seq, mask.bits, lambda a, b: a ^ b))
+
+
+PREFIX_BOUNDS = [nat(3), nat(7), OMEGA, omega_times(2, 3), L, Ordinal(((3, 1), (1, 2)))]
+
+
+@st.composite
+def bit_points(draw):
+    bound = draw(st.sampled_from(PREFIX_BOUNDS))
+    grid = [o for o in [nat(n) for n in range(1, 9)] + [OMEGA, omega_times(1, 2), L] if o < bound]
+    cuts = sorted(draw(st.sets(st.sampled_from(grid), max_size=4)))
+    edges = [ZERO] + cuts + [bound]
+    bit = st.integers(0, 1)
+    raw = [
+        (lo, hi, draw(bit), tuple(draw(st.lists(bit, min_size=1, max_size=3))))
+        for lo, hi in zip(edges, edges[1:])
+    ]
+    return Bits(PatternMap.build(bound, raw))
+
+
+@st.composite
+def cylinder_words(draw, x):
+    """A word of dom <= 9: x's own head (so that x extends it), x's head
+    with one bit flipped, or any bits; sometimes zero-padded to w or w*2."""
+    top = x.bound.to_nat() if x.bound.is_nat() else 9
+    k = draw(st.integers(0, min(top, 8)))
+    head = [pm_eval(x.seq, nat(i)) for i in range(k)]
+    how = draw(st.sampled_from(["head", "flip", "any"]))
+    if how == "flip" and head:
+        i = draw(st.integers(0, k - 1))
+        head[i] ^= 1
+    elif how == "any":
+        head = draw(st.lists(st.integers(0, 1), max_size=9))
+    w = word_from_bits(head)
+    pad = draw(st.sampled_from([None, OMEGA, omega_times(2)]))
+    return w if pad is None else zero_pad_embed(w, pad)
+
+
+PREFIX_PROPS = settings(max_examples=400, deadline=None, derandomize=True, database=None)
+
+
+@PREFIX_PROPS
+@given(data=st.data())
+def test_starts_with_matches_restrict_then_compare(data):
+    x = data.draw(bit_points())
+    w = data.draw(cylinder_words(x))
+    if x.bound < w.dom:
+        with pytest.raises(SpaceError):
+            starts_with(x, w)
+        return
+    assert starts_with(x, w) == starts_with_by_restrict(x, w)
+
+
+@PREFIX_PROPS
+@given(data=st.data())
+def test_xor_prefix_matches_pad_then_zip(data):
+    x = data.draw(bit_points())
+    w = data.draw(cylinder_words(x))
+    if x.bound < w.dom:
+        with pytest.raises(SpaceError):
+            xor_prefix(w, x)
+        return
+    y = xor_prefix(w, x)
+    assert y == xor_prefix_by_zip(w, x)
+    # y is zero below dom(w) exactly where x extends w
+    assert starts_with(y, zero_pad_embed(word_from_bits([]), w.dom)) == starts_with(x, w)
 
 
 def test_word_to_bits():
