@@ -227,9 +227,6 @@ def _cmd_jump_tower(args, cfg: WorkbenchConfig) -> int:
     return 0 if not bad else 1
 
 
-_REL_NAMES = ("id", "e0", "e1", "e1-approx", "idplus", "idplus-star", "cub", "jump", "join", "tower-join")
-
-
 def _cmd_decide(args, cfg: WorkbenchConfig) -> int:
     rel_text = args.relation if args.relation.startswith("(") else f"({args.relation})"
     try:
@@ -250,10 +247,6 @@ def _cmd_decide(args, cfg: WorkbenchConfig) -> int:
     t0 = time.perf_counter()
     x, y = load(args.x), load(args.y)
     try:
-        validate_point(x, rel.space)
-        validate_point(y, rel.space)
-        if point_bound(x) != point_bound(y):
-            raise SpaceError(f"points with unequal bounds {point_bound(x)} and {point_bound(y)}")
         res = decide(rel, x, y)
     except (SpaceError, RelationError) as exc:
         raise ConfigError(str(exc)) from None
@@ -293,9 +286,7 @@ def run_command(argv) -> int:
     try:
         cfg = _config(args)
         return _COMMANDS[args.command](args, cfg)
-    except (ConfigError, DslError) as exc:
-        return _fail(str(exc))
-    except CodeError as exc:
+    except (ConfigError, DslError, CodeError) as exc:
         return _fail(str(exc))
 
 

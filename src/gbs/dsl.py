@@ -62,18 +62,8 @@ from .harness import GenPolicy, HarnessError, ReductionSpec
 from .ordinals import OMEGA, ZERO, Ordinal, nat
 from .patterns import PatternError, PatternMap
 from .relations import (
-    E0,
-    E1,
-    Cub,
-    E1Approx,
     EqRelHandle,
-    Id,
-    IdPlus,
-    IdPlusStar,
-    Join,
-    Jump,
     RelationError,
-    TowerJoin,
     make_tower,
     rel_cub,
     rel_e0,
@@ -542,30 +532,7 @@ _RELATIONS = _Table("relation", (RelationError,), {
 
 
 def print_rel(rel: EqRelHandle) -> str:
-    k = rel.kind
-    if isinstance(k, Id):
-        return "(id)" if rel.space == BITS else f"(id {print_space(rel.space)})"
-    if isinstance(k, E0):
-        return "(e0)" if rel.space == BITS else f"(e0 {print_space(rel.space)})"
-    if isinstance(k, E1):
-        return "(e1)"
-    if isinstance(k, E1Approx):
-        return f"(e1-approx {k.level})"
-    if isinstance(k, IdPlus):
-        inner = rel.space.inner
-        return "(idplus)" if inner == BITS else f"(idplus {print_space(inner)})"
-    if isinstance(k, IdPlusStar):
-        inner = rel.space.inner
-        return "(idplus-star)" if inner == BITS else f"(idplus-star {print_space(inner)})"
-    if isinstance(k, Cub):
-        return f"(cub {k.params.mode.lower()} {k.params.value_space})"
-    if isinstance(k, Jump):
-        return f"(jump {print_rel(k.inner)})"
-    if isinstance(k, Join):
-        return "(join " + " ".join(print_rel(part) for part in k.parts) + ")"
-    if isinstance(k, TowerJoin):
-        return f"(tower-join {print_rel(k.base)})"
-    raise TypeError(f"not a relation handle: {rel!r}")
+    return "(" + " ".join((rel.kind.head, *map(print_spec, rel.kind.args(rel.space)))) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -822,7 +789,7 @@ def parse_spec(text: str) -> WorkbenchSpec:
 
 
 def print_spec(spec) -> str:
-    if isinstance(spec, Ordinal):
+    if isinstance(spec, (Ordinal, str)):  # a bare word prints as itself
         return str(spec)
     if isinstance(spec, PatternMap):
         return print_pattern(spec)

@@ -6,6 +6,8 @@ import zlib
 
 import pytest
 
+from gbs import relations
+from gbs.dsl import DslError, parse_ordinal_text, parse_spec, print_point, print_rel
 from gbs.generators import (
     equivalent_pair,
     gen_point,
@@ -25,7 +27,6 @@ from gbs.relations import (
     decide_idplus,
     decide_idplus_star,
     decide_jump,
-    idplus_star_witness,
     make_tower,
     rel_cub,
     rel_e0,
@@ -36,6 +37,7 @@ from gbs.relations import (
     rel_idplus_star,
     rel_join,
     rel_jump,
+    RelKind,
 )
 from gbs.spaces import (
     BITS,
@@ -109,11 +111,90 @@ def test_certified_pairs(rel):
         assert not decide(rel, x, y)
 
 
+# --- the kinds, pinned -----------------------------------------------------------
+
+# str, document form, and crc32 of the printed first 5 equivalent and then 5
+# inequivalent pairs from Random(4304): the rendering and the generated data
+# do not depend on how the kinds are dispatched.
+PINS = [
+    ('id on bits', '(id)', 0x5ce4e1a6, 0xd33bb9d8),
+    ('e0 on bits', '(e0)', 0x841bfd00, 0x1290292a),
+    ('e0 on ords', '(e0 ords)', 0x1f0ae383, 0x36eba200),
+    ('e1 on family(bits)', '(e1)', 0x3e000f91, 0xef2bafd3),
+    ('e1[w*3] on family(bits)', '(e1-approx w*3)', 0x95a76266, 0xd8e5faf7),
+    ('id+ on family(bits)', '(idplus)', 0xf563fe3a, 0x29f92dc5),
+    ('id+* on family(bits)', '(idplus-star)', 0x320fcb52, 0x1e58b489),
+    ('cub[literal,binary] on bits', '(cub literal binary)', 0x8ffd9e68, 0xf69975f9),
+    ('cub[structural,binary] on bits', '(cub structural binary)', 0x7afbd2d5, 0x1718a973),
+    ('cub[structural,ordinal] on ords', '(cub structural ordinal)', 0xa7a75a69, 0x7c0452e2),
+    ('jump(e0) on family(bits)', '(jump (e0))', 0xdc2fe00c, 0x908c41f2),
+    ('join(e0,id) on sum(bits, bits)', '(join (e0) (id))', 0x43ff2459, 0x408f5621),
+    ('tower(id) on tower(bits)', '(tower-join (id))', 0x11d48e69, 0xcb6ceaa0),
+    ('id on ords', '(id ords)', 0xc1b82501, 0xebbfedf7),
+    ('id+ on family(ords)', '(idplus ords)', 0x77f5df98, 0xb04404cc),
+    ('tower(e0) on tower(bits)', '(tower-join (e0))', 0xfca1ad88, 0x0c867984),
+]
+PINNED = CATALOG + [rel_id(ORDS), rel_idplus(ORDS), make_tower(rel_e0(), OMEGA)]
+
+
+def _printed_crc(pairs) -> int:
+    return zlib.crc32("\n".join(print_point(p) for pair in pairs for p in pair).encode())
+
+
+@pytest.mark.parametrize("rel, pin", zip(PINNED, PINS), ids=[p[1] for p in PINS])
+def test_kind_rendering_and_generated_points_are_pinned(rel, pin):
+    rng = random.Random(4304)
+    eq = _printed_crc([equivalent_pair(rng, rel) for _ in range(5)])
+    ineq = _printed_crc([inequivalent_pair(rng, rel) for _ in range(5)])
+    assert (str(rel), print_rel(rel), eq, ineq) == pin
+
+
+def test_certified_builders_never_consult_a_decider(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a certified builder consulted a decider")
+
+    for name in dir(relations):
+        if name.startswith(("decide", "_decide")):
+            monkeypatch.setattr(relations, name, refuse)
+    for kind in RelKind.__subclasses__():
+        monkeypatch.setattr(kind, "decide", refuse)
+    rng = random.Random(4305)
+    for rel in CATALOG:
+        for _ in range(5):
+            equivalent_pair(rng, rel)
+            inequivalent_pair(rng, rel)
+            related_triple(rng, rel)
+
+
+def test_every_kind_has_a_catalog_entry():
+    assert {type(rel.kind) for rel in CATALOG} == set(RelKind.__subclasses__())
+
+
 def test_space_mismatch_is_an_error():
     from gbs.spaces import SpaceError
 
     with pytest.raises(SpaceError):
         decide(rel_e1(), zeros(L), zeros(L))
+
+
+@pytest.mark.parametrize("rel", CATALOG, ids=str)
+def test_unequal_bounds_are_an_error(rel):
+    from gbs.spaces import SpaceError
+
+    rng = random.Random(zlib.crc32(str(rel).encode()) ^ 4)
+    for _ in range(5):
+        x = gen_point(rng, rel.space)
+        y = gen_point(rng, rel.space, parse_ordinal_text("w^3"))
+        with pytest.raises(SpaceError, match="unequal bounds w\\^2 and w\\^3"):
+            decide(rel, x, y)
+
+
+def test_e0_lives_on_bits_or_ords():
+    with pytest.raises(RelationError):
+        rel_e0(FamilyOf(BITS))
+    for text in ("(e0 (sum bits ords))", "(e0 (family-of bits))"):
+        with pytest.raises(DslError, match="line 1, col 1: e0 lives on bits or ords"):
+            parse_spec(text)
 
 
 # --- dispatch equals the direct deciders ------------------------------------------
@@ -226,13 +307,8 @@ def test_idplus_star_witness_shape():
         b = xor_prefix(word_from_bits([1]), a)
     x = Family([a, b], pm_write_finite(PatternMap.constant(L, 1), [0, 0]))
     y = Family([a, b], pm_write_finite(PatternMap.constant(L, 1), [0, 1, 0]))
-    w = idplus_star_witness(x, y)
-    assert w is not None
-    assert len(w.pairs) == 2
-    from gbs.patterns import INFINITE
-
-    assert sorted(w.classes, key=str) == sorted([2, INFINITE], key=str)
-    assert idplus_star_witness(x, Family([a], PatternMap.constant(L, 0))) is None
+    assert decide_idplus_star(x, y)
+    assert not decide_idplus_star(x, Family([a], PatternMap.constant(L, 0)))
 
 
 def finite_matching_exists(xs, ys):
@@ -286,8 +362,6 @@ def test_cub_frozen_odd_agreement():
 
 
 def test_cub_params_validation():
-    with pytest.raises(RelationError):
-        CubParams(mu=omega_times(2))
     with pytest.raises(RelationError):
         CubParams(mode="loose")
     with pytest.raises(RelationError):
