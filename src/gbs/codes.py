@@ -19,6 +19,7 @@ sequences.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -279,9 +280,14 @@ def _strip(p: Point) -> Point:
     return p
 
 
-@lru_cache(maxsize=262144)
 def _atom_on(atom: Atom, p: Point) -> bool:
-    """Atom value on an already-resolved point (the side is ignored here)."""
+    """Atom value on an already-resolved point (the side is ignored here).
+
+    Not cached itself: evaluation reads an atom's value by its interned id
+    from the point's truth table (_truths, bounded by its maxsize in points
+    and by _TABLE_CAP in ids) and calls this only when that table lacks the
+    id.
+    """
     path = atom.path if not isinstance(atom, InitialSegment) else ()
     for a in path:
         p = _strip(p)
@@ -316,25 +322,75 @@ def _as_points(inp, code: BorelCode) -> Tuple[Point, ...]:
 
 
 # A code's game plan is compiled once, on its first evaluation, and kept on
-# the code.  It holds the code's distinct atoms with the index of the point
-# each one reads, and one step per node, aligned with tree.by_depth, so that
-# walking the steps backwards meets every child before its parent:
-#   (_I_MOVE | _II_MOVE, child step indices, (), ())
-#   (_LEAF_ALL, guard atoms, atoms, ())
-#   (_LEAF_IFF, guard atoms, left atoms, the other atoms)
-#   (_LOST, (), (), ())  -- a leaf without a label is lost for II
-# Atoms are referred to by their index in the table.
+# the code as (ids, atoms, split, steps):
+#   atoms  the code's distinct atoms, those read from the first point
+#          ("single" or "left") before the "right" ones;
+#   split  how many atoms the first point answers;
+#   ids    each atom's interned id (_intern);
+#   steps  one per node, aligned with tree.by_depth, so that walking them
+#          backwards meets every child before its parent:
+#     (_I_MOVE | _II_MOVE, child step indices, (), ())
+#     (_LEAF_ALL, guard atoms, atoms, ())
+#     (_LEAF_IFF, guard atoms, left atoms, the other atoms)
+#     (_LOST, (), (), ())  -- a leaf without a label is lost for II
+#   Steps name atoms by their position in the plan.  They are small int
+#   tuples that recur across codes, so equal steps are shared (_shared).
+#
+# Ids are global: equal atoms of different codes get the same id.  They come
+# from a counter that is never reset, so an id names one atom for the life of
+# the process; when the intern table reaches _INTERN_CAP it is cleared and
+# equal atoms get fresh ids, while older plans keep theirs and their atoms.
+# Truths are cached per point (_truths, a bounded cache keyed by the point):
+# each entry maps atom id -> the atom's value on that point, is filled on a
+# miss, and is cleared when it reaches _TABLE_CAP.  So an evaluation hashes
+# its one or two points once and reads every atom's truth by id.
 
 _I_MOVE, _II_MOVE, _LEAF_ALL, _LEAF_IFF, _LOST = range(5)
+
+_INTERN_CAP = 16384  # each of _INTERN and _STEPS
+_TABLE_CAP = 512
+_INTERN: Dict[Atom, int] = {}
+_STEPS: Dict[tuple, tuple] = {}
+_next_id = itertools.count().__next__
+
+
+def _intern(atom: Atom) -> int:
+    i = _INTERN.get(atom)
+    if i is None:
+        if len(_INTERN) >= _INTERN_CAP:
+            _INTERN.clear()
+        i = _INTERN[atom] = _next_id()
+    return i
+
+
+def _shared(step: tuple) -> tuple:
+    s = _STEPS.get(step)
+    if s is None:
+        if len(_STEPS) >= _INTERN_CAP:
+            _STEPS.clear()
+        s = _STEPS[step] = step
+    return s
+
+
+@lru_cache(maxsize=1024)
+def _truths(p: Point) -> Dict[int, bool]:
+    """The point's truth table, atom id -> value on p, filled lazily."""
+    return {}
 
 
 def _compile(code: BorelCode):
     tree = code.tree
     index = {n: i for i, n in enumerate(tree.by_depth)}
-    table: Dict[Atom, int] = {}
+    first: Dict[Atom, None] = {}
+    second: Dict[Atom, None] = {}
+    for cond in code.labels.values():
+        for a in cond.guards + cond.atoms:
+            (second if a.side == "right" else first)[a] = None
+    atoms = tuple(first) + tuple(second)
+    at = {a: i for i, a in enumerate(atoms)}
 
     def refs(atoms) -> Tuple[int, ...]:
-        return tuple(table.setdefault(a, len(table)) for a in atoms)
+        return tuple(at[a] for a in atoms)
 
     steps = []
     for n in tree.by_depth:
@@ -351,15 +407,32 @@ def _compile(code: BorelCode):
             left = refs(a for a in cond.atoms if a.side == "left")
             rest = refs(a for a in cond.atoms if a.side != "left")
             steps.append((_LEAF_IFF, refs(cond.guards), left, rest))
-    atoms = tuple(table)
-    code._plan = (atoms, bytes(a.side == "right" for a in atoms), tuple(steps))
+    code._plan = (tuple(map(_intern, atoms)), atoms, len(first), tuple(map(_shared, steps)))
     return code._plan
+
+
+def _fill(truth: list, plan, pts: Tuple[Point, ...]) -> None:
+    """Compute the truths the tables missed (None) and enter them."""
+    ids, atoms, split, _ = plan
+    for j, v in enumerate(truth):
+        if v is None:
+            p = pts[j >= split]
+            table = _truths(p)
+            if len(table) >= _TABLE_CAP:
+                table.clear()
+            truth[j] = table[ids[j]] = _atom_on(atoms[j], p)
 
 
 def _node_values(code: BorelCode, pts: Tuple[Point, ...]) -> list:
     """Every node's value, indexed like tree.by_depth (the root is first)."""
-    atoms, sides, steps = code._plan or _compile(code)
-    holds = [_atom_on(a, pts[s]) for a, s in zip(atoms, sides)].__getitem__
+    plan = code._plan or _compile(code)
+    ids, _, split, steps = plan
+    truth = list(map(_truths(pts[0]).get, ids[:split])) if split else []
+    if split < len(ids):
+        truth += map(_truths(pts[1]).get, ids[split:])
+    if None in truth:
+        _fill(truth, plan, pts)
+    holds = truth.__getitem__
     value = [False] * len(steps)
     won = value.__getitem__
     for i in range(len(steps) - 1, -1, -1):
@@ -383,7 +456,6 @@ def _eval_member(code: BorelCode, pts: Tuple[Point, ...]) -> bool:
     return _node_values(code, pts)[0]
 
 
-@lru_cache(maxsize=16384)
 def _eval(code: BorelCode, pts: Tuple[Point, ...]) -> GameOutcome:
     value = _node_values(code, pts)
     member = value[0]
@@ -391,7 +463,7 @@ def _eval(code: BorelCode, pts: Tuple[Point, ...]) -> GameOutcome:
     mover = _II_MOVE if member else _I_MOVE
     nodes = code.tree.by_depth
     strategy = []
-    for i, (op, kids, _, _) in enumerate(code._plan[2]):
+    for i, (op, kids, _, _) in enumerate(code._plan[3]):
         if op == mover and value[i] == member:
             strategy.append((nodes[i], nodes[next(k for k in kids if value[k] == member)]))
     return GameOutcome(member, tuple(strategy))

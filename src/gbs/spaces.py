@@ -135,7 +135,7 @@ class Family:
     families describing the same indexed function are therefore equal.
     """
 
-    __slots__ = ("components", "assignment")
+    __slots__ = ("components", "assignment", "_hash")
 
     def __init__(self, components: Sequence["Point"], assignment: PatternMap):
         comps = tuple(components)
@@ -172,7 +172,13 @@ class Family:
         return self.components == other.components and self.assignment == other.assignment
 
     def __hash__(self) -> int:
-        return hash((self.components, self.assignment))
+        # computed on first use and kept, so that families never hashed pay
+        # nothing
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.components, self.assignment))
+            return self._hash
 
     def __repr__(self) -> str:
         return f"Family({len(self.components)} components, {self.assignment!r})"

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import copy
 import random
+from contextlib import contextmanager
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gbs import codes
 from gbs.codes import (
     ApproxReport,
     BorelCode,
@@ -37,6 +42,7 @@ from gbs.spaces import (
     Family,
     FiniteWord,
     Tagged,
+    iter_words,
     point_code,
     restrict_point,
     word_from_bits,
@@ -718,3 +724,183 @@ def test_red_S_to_cub_rejects_non_equivalence():
     )
     with pytest.raises(CodeError, match="equivalence"):
         red_S_to_cub(mutant)
+
+
+# ---------------------------------------------------------------------------
+# interned atom ids and per-point truth tables against the oracle
+# ---------------------------------------------------------------------------
+# Evaluations run in sequence, so that a truth entered by one is read by the
+# next: codes share atom objects (CONDITION_POOL), or hold equal atoms that
+# are distinct objects, and points come as equal but distinct copies.  Each
+# sequence runs with warm caches, with every cache cleared before each
+# evaluation, and with caps of two (intern tables, per-point cache and each
+# truth table), so that ids outlive an intern-table clear.
+
+CACHES = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+CACHE_MODES = ("warm", "cleared", "capped")
+
+
+def _clear_caches():
+    codes._truths.cache_clear()
+    codes._INTERN.clear()
+    codes._STEPS.clear()
+
+
+@contextmanager
+def _cache_mode(mode):
+    with pytest.MonkeyPatch.context() as mp:
+        if mode == "capped":
+            mp.setattr(codes, "_INTERN_CAP", 2)
+            mp.setattr(codes, "_TABLE_CAP", 2)
+            mp.setattr(codes, "_truths", lru_cache(maxsize=2)(codes._truths.__wrapped__))
+        yield
+
+
+def _twin(x):
+    """An equal copy that shares no object with x."""
+    y = copy.deepcopy(x)
+    assert y == x and y is not x
+    return y
+
+
+def _check_against_oracle(inp, code):
+    want = orc_member(inp, code)
+    assert game_member(inp, code) == want
+    assert game_eval(inp, code).member == want
+    replay_wins(inp, code)
+
+
+def _run(mode, evals):
+    with _cache_mode(mode):
+        for code, inp in evals:
+            if mode == "cleared":
+                _clear_caches()
+            _check_against_oracle(inp, code)
+
+
+@st.composite
+def bit_points(draw):
+    raw = draw(st.lists(st.integers(0, 1), max_size=4))
+    base = PatternMap.constant(L, draw(st.integers(0, 1)))
+    return Bits(pm_write_finite(base, raw) if raw else base)
+
+
+@st.composite
+def pool_codes(draw):
+    nodes = [()]
+    for _ in range(draw(st.integers(0, 5))):
+        child = draw(st.sampled_from(nodes)) + (draw(st.sampled_from(ENTRY_POOL)),)
+        if child not in nodes:
+            nodes.append(child)
+    tree = CodeTree(nodes)
+    labels = {}
+    for leaf in tree.leaves:
+        cond = draw(st.none() | st.sampled_from(CONDITION_POOL))
+        if cond is not None:
+            labels[leaf] = _twin(cond) if draw(st.booleans()) else cond
+    return BorelCode(tree, labels, BITS, 2)
+
+
+@st.composite
+def sequences(draw, codes_st, points_st):
+    """Evaluations of a few codes on pairs from a small point pool, some of
+    them on equal copies of the pooled points."""
+    cs = draw(st.lists(codes_st, min_size=1, max_size=4))
+    pool = draw(st.lists(points_st, min_size=2, max_size=3))
+    evals = []
+    for _ in range(draw(st.integers(2, 10))):
+        code = draw(st.sampled_from(cs))
+        pair = tuple(
+            _twin(p) if draw(st.booleans()) else p
+            for p in (draw(st.sampled_from(pool)), draw(st.sampled_from(pool)))
+        )
+        evals.append((code, pair))
+    return evals
+
+
+@pytest.mark.parametrize("mode", CACHE_MODES)
+@CACHES
+@given(evals=sequences(pool_codes(), bit_points()))
+def test_evaluator_matches_oracle_on_bit_codes(mode, evals):
+    _run(mode, evals)
+
+
+@pytest.mark.parametrize("mode", CACHE_MODES)
+@CACHES
+@given(evals=sequences(pool_codes(), bit_points()))
+def test_evaluator_matches_oracle_on_twinned_codes(mode, evals):
+    # every code again as a twin: equal labels, trees and atoms, no shared
+    # object and no compiled plan
+    _run(mode, [(c, inp) for code, inp in evals for c in (code, _twin(code))])
+
+
+WORDS = [pt(*bits) for bits in ((0, 0), (0, 1), (1, 0), (1, 1, 1))]
+ID3 = code_id(3)
+JUMP = code_jump(ID3, 2)
+JOIN = code_join([ID3, JUMP])
+JUMP_OF_JOIN = code_jump(code_join([ID3, ID3]), 2)
+
+
+@st.composite
+def families(draw, inner=st.sampled_from(WORDS)):
+    comps = draw(st.lists(inner, min_size=1, max_size=2))
+    return fam(comps, range(len(comps)))
+
+
+@st.composite
+def tagged_points(draw):
+    if draw(st.booleans()):
+        return Tagged(ZERO, draw(st.sampled_from(WORDS)))
+    return Tagged(nat(1), draw(families()))
+
+
+@st.composite
+def structured_sequences(draw):
+    """Sequences over the jump (Family points, ComponentConstraint atoms), the
+    join (Tagged points, TagEquals atoms) and the jump of a join (both)."""
+    which = draw(st.integers(0, 2))
+    if which == 0:
+        return draw(sequences(st.just(JUMP), families()))
+    if which == 1:
+        return draw(sequences(st.just(JOIN), tagged_points()))
+    tagged_words = st.builds(Tagged, st.sampled_from([ZERO, nat(1)]), st.sampled_from(WORDS))
+    return draw(sequences(st.just(JUMP_OF_JOIN), families(tagged_words)))
+
+
+@pytest.mark.parametrize("mode", CACHE_MODES)
+@CACHES
+@given(evals=structured_sequences())
+def test_evaluator_matches_oracle_on_jump_and_join(mode, evals):
+    _run(mode, evals)
+
+
+def test_caches_stay_bounded():
+    # 62 codes with distinct one-sided atoms and roots of 1-12 moves, against
+    # caps of 8 (intern tables) and 4 (truth tables)
+    words = list(iter_words(6))[1:]
+    points = [pt(*bits) for bits in ((0, 1, 1, 0, 1), (1, 1, 0, 0, 0), (0, 0, 0, 0, 0))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes, "_INTERN_CAP", 8)
+        mp.setattr(codes, "_TABLE_CAP", 4)
+        for i, w in enumerate(words):
+            moves = [(nat(k),) for k in range(1 + i % 12)]
+            labels = {m: LeafCondition((InitialSegment(w, "left"),)) for m in moves[1:]}
+            labels[moves[0]] = LeafCondition(
+                (InitialSegment(w, "right"), InitialSegment(words[i - 1], "left")), "iff"
+            )
+            code = BorelCode(CodeTree([()] + moves), labels, BITS, 2)
+            for pair in ((points[0], points[1]), (points[2], points[0])):
+                assert game_member(pair, code) == orc_member(pair, code)
+            assert len(codes._INTERN) <= 8 and len(codes._STEPS) <= 8
+            assert all(len(codes._truths(p)) <= 4 for p in points)
+    # the per-point cache: more distinct points than it may hold
+    info = codes._truths.cache_info()
+    assert isinstance(info.maxsize, int) and info.maxsize > 0
+    single = BorelCode(
+        CodeTree([()]), {(): LeafCondition((InitialSegment(W(1, 0)),))}, BITS, 1
+    )
+    for n in range(info.maxsize + 64):
+        raw = [(n >> k) & 1 for k in range(11)]
+        p = Bits(pm_write_finite(PatternMap.constant(L, 0), raw))
+        assert game_member(p, single) == (raw[:2] == [1, 0])
+    assert codes._truths.cache_info().currsize == info.maxsize
