@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _specgen import gen_space
+from gbs.generators import gen_point
 from gbs.ordinals import OMEGA, OMEGA_SQ, ZERO, Ordinal, nat, omega_times
 from gbs.patterns import PatternMap, pm_eval, pm_restrict, pm_splice, pm_write_finite, pm_zip
 from gbs.spaces import (
@@ -27,6 +30,7 @@ from gbs.spaces import (
     point_code,
     point_eval,
     point_in_space,
+    point_stab_block,
     restrict_point,
     serialize_point,
     starts_with,
@@ -390,3 +394,31 @@ def test_point_eval_variants():
     assert point_eval(o, nat(5)) == OMEGA
     with pytest.raises(SpaceError):
         point_eval(Tagged(ZERO, x), ZERO)
+
+
+# --- structural outputs, pinned -------------------------------------------------
+
+# crc32 of the open-ended and closed serials (points, then words), the point
+# codes, the canonical keys of the restrictions at w, w*3 and w*6, the stab
+# blocks, and membership of every pool point in every pool space, for 90
+# points of 30 spaces from Random(4308): nested families, sums and towers
+# included.  None of these depends on how the shapes are dispatched.
+STRUCTURE_PINS = (0x54055740, 0xad312d0c, 0x20fd680a, 0xf1cb1d84, 0xa1ee7d0a)
+
+
+def _crc(lines) -> int:
+    return zlib.crc32("\n".join(lines).encode())
+
+
+def test_structural_outputs_are_pinned():
+    rng = random.Random(4308)
+    spaces = [gen_space(rng) for _ in range(30)]
+    pool = [gen_point(rng, sd) for sd in spaces for _ in range(3)]
+    words = list(iter_words(4))
+    serials = _crc(serialize_point(p, oe) for p in pool + words for oe in (True, False))
+    codes = _crc(str(point_code(p)) for p in pool)
+    levels = [omega_times(q) for q in (1, 3, 6)]
+    restricted = _crc(canonical_key(restrict_point(p, a)) for p in pool for a in levels)
+    stab = _crc(str(point_stab_block(p)) for p in pool)
+    member = _crc("".join("01"[point_in_space(p, sd)] for sd in spaces) for p in pool)
+    assert (serials, codes, restricted, stab, member) == STRUCTURE_PINS
