@@ -13,14 +13,14 @@ import sys
 import time
 from typing import Optional
 
-from .codes import BorelCode, CodeError, approx_lemma_check, code_id, code_jump, game_eval, is_eqrel_on_approx, is_good
+from .codes import CodeError, approx_lemma_check, code_id, code_jump, game_eval, is_eqrel_on_approx, is_good
 from .config import ConfigError, WorkbenchConfig, load_config_file
 from .dsl import ApproxSpec, DslError, GameSpec, OrbitSpec, parse_ordinal_text, parse_spec, print_point
 from .generators import gen_point
 from .harness import ReductionSpec, Report, verify_orbit, verify_reduction
 from .ordinals import omega_times
-from .relations import EqRelHandle, RelationError, decide
-from .spaces import SpaceError, point_bound, validate_point
+from .relations import EqRelHandle, RelationError, check_pair
+from .spaces import BITS, SpaceDescriptor, SpaceError, validate_point
 
 __all__ = ["main", "run_command"]
 
@@ -90,15 +90,15 @@ def _read_doc(path: str):
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _check_points(path: str, points, code: BorelCode, cfg: WorkbenchConfig) -> None:
-    """Document points must inhabit the code's space at the working bound."""
+def _check_points(where: str, points, space: SpaceDescriptor, cfg: WorkbenchConfig) -> None:
+    """Input points must inhabit the space at the working bound."""
     for pt in points:
         try:
-            validate_point(pt, code.space)
+            validate_point(pt, space)
         except SpaceError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-        if point_bound(pt) != cfg.lam:
-            raise ConfigError(f"{path}: point bounded by {point_bound(pt)}, not lambda {cfg.lam}")
+            raise ConfigError(f"{where}: {exc}") from None
+        if pt.bound != cfg.lam:
+            raise ConfigError(f"{where}: point bounded by {pt.bound}, not lambda {cfg.lam}")
 
 
 def _emit(report: Report, as_json: bool, extra: Optional[dict] = None) -> int:
@@ -140,7 +140,7 @@ def _cmd_eval_game(args, cfg: WorkbenchConfig) -> int:
     code = doc.code
     if len(doc.points) != code.arity:
         return _fail(f"{args.file}: code of arity {code.arity} got {len(doc.points)} points")
-    _check_points(args.file, doc.points, code, cfg)
+    _check_points(args.file, doc.points, code.space, cfg)
     t0 = time.perf_counter()
     inp = doc.points[0] if code.arity == 1 else tuple(doc.points)
     out = game_eval(inp, code)
@@ -160,7 +160,7 @@ def _cmd_approx(args, cfg: WorkbenchConfig) -> int:
     t0 = time.perf_counter()
     rng = random.Random(cfg.seed)
     pts = list(doc.points)
-    _check_points(args.file, pts, code, cfg)
+    _check_points(args.file, pts, code.space, cfg)
     need = doc.probes or cfg.sample_count
     while len(pts) < need * code.arity:
         pts.append(gen_point(rng, code.space, cfg.lam))
@@ -189,6 +189,8 @@ def _cmd_orbit(args, cfg: WorkbenchConfig) -> int:
     doc = _read_doc(args.file)
     if not isinstance(doc, OrbitSpec):
         return _fail(f"{args.file}: expected an orbit document")
+    if doc.point is not None:
+        _check_points(args.file, [doc.point], BITS, cfg)
     return _emit(verify_orbit(doc.action, cfg, base=doc.point, pairs=doc.pairs), args.json)
 
 
@@ -237,17 +239,21 @@ def _cmd_decide(args, cfg: WorkbenchConfig) -> int:
         return _fail(f"{args.relation!r} is not a relation")
 
     def load(arg: str):
+        """The point and the name its messages go under."""
         if arg.lstrip().startswith(("(", "[")):
             try:
-                return parse_spec(arg)
+                return parse_spec(arg), "point"
             except DslError as exc:
                 raise ConfigError(f"point: {exc}") from None
-        return _read_doc(arg)
+        return _read_doc(arg), arg
 
     t0 = time.perf_counter()
-    x, y = load(args.x), load(args.y)
+    (x, wx), (y, wy) = load(args.x), load(args.y)
     try:
-        res = decide(rel, x, y)
+        check_pair(rel, x, y)
+        _check_points(wx, [x], rel.space, cfg)
+        _check_points(wy, [y], rel.space, cfg)
+        res = rel.kind.decide(x, y)
     except (SpaceError, RelationError) as exc:
         raise ConfigError(str(exc)) from None
     elapsed = int((time.perf_counter() - t0) * 1000)

@@ -43,11 +43,7 @@ from .spaces import (
     canonical_min,
     grid_ordvals,
     iter_words,
-    point_bound,
     point_code,
-    point_eval,
-    point_stab_block,
-    restrict_point,
     starts_with,
     validate_point,
 )
@@ -293,7 +289,7 @@ def _atom_on(atom: Atom, p: Point) -> bool:
         p = _strip(p)
         if not isinstance(p, Family) or not a < p.bound:
             return False
-        p = point_eval(p, a)
+        p = p.at(a)
     if isinstance(atom, TagEquals):
         for _ in range(atom.unwrap):
             if not isinstance(p, Tagged):
@@ -538,9 +534,9 @@ def approx_lemma_check(code: BorelCode, inp, grid_depth: int = 20) -> ApproxRepo
         a = omega_times(q)
         if not b < a or not is_good(code, a):
             continue
-        if any(point_bound(p) < a for p in pts):
+        if any(p.bound < a for p in pts):
             continue
-        ra = tuple(restrict_point(p, a) for p in pts)
+        ra = tuple(p.restrict(a) for p in pts)
         rc = code_restrict(code, a)
         stable = stable and (_eval_member(rc, ra) == out.member)
         levels.append(a)
@@ -754,7 +750,7 @@ def _class_rep(code: BorelCode, a: Ordinal, x: Point, pool: Tuple[Point, ...]) -
         return Bits(pm_splice(PatternMap.constant(a, 0), cut, pm_restrict(x.seq, cut)))
     if pv is not None and pv[0] == "jump":
         inner, j = pv[1], pv[2]
-        comps = {point_eval(x, nat(i)) for i in range(j)}
+        comps = {x.at(nat(i)) for i in range(j)}
         reps = {canonical_key(r): r for r in (_class_rep(inner, a, c, pool) for c in comps)}
         ordered = [reps[key] for key in sorted(reps)]
         asg = pm_write_finite(PatternMap.constant(a, 0), list(range(len(ordered))))
@@ -782,8 +778,8 @@ def class_code(code: BorelCode, a: Ordinal, x: Point, pool: Sequence[Point] = ()
         raise CodeError("class codes live on the limit grid")
     if not is_good(code, a):
         raise CodeError(f"{a} is not good for the code")
-    xa = restrict_point(x, a)
-    pa = tuple(restrict_point(p, a) for p in pool)
+    xa = x.restrict(a)
+    pa = tuple(p.restrict(a) for p in pool)
     return point_code(_class_rep(code, a, xa, pa))
 
 
@@ -813,11 +809,11 @@ def red_S_to_cub(
 
     def f(x: Point) -> Ords:
         validate_point(x, code.space)
-        top = max(point_stab_block(x), first + 1, 2)
+        top = max(x.stab_block(), first + 1, 2)
         vals = [0]
         for q in range(1, top + 1):
             a = omega_times(q)
             vals.append(class_code(code, a, x, pool) if is_good(code, a) else 0)
-        return grid_ordvals(point_bound(x), vals)
+        return grid_ordvals(x.bound, vals)
 
     return f

@@ -137,11 +137,7 @@ class OrbitSpec:
 WorkbenchSpec = Union[
     Ordinal,
     PatternMap,
-    Bits,
-    Ords,
-    Family,
-    Tagged,
-    FiniteWord,
+    Point,
     SpaceDescriptor,
     EqRelHandle,
     BorelCode,
@@ -793,9 +789,9 @@ def print_spec(spec) -> str:
         return str(spec)
     if isinstance(spec, PatternMap):
         return print_pattern(spec)
-    if isinstance(spec, (Bits, Ords, Family, Tagged, FiniteWord)):
+    if isinstance(spec, Point):
         return print_point(spec)
-    if isinstance(spec, (BitSpace, OrdSpace, FamilyOf, TaggedSum, TowerSum)):
+    if isinstance(spec, SpaceDescriptor):
         return print_space(spec)
     if isinstance(spec, EqRelHandle):
         return print_rel(spec)

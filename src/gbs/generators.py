@@ -105,7 +105,7 @@ def gen_point(rng: random.Random, sd: SpaceDescriptor, bound: Ordinal = OMEGA_SQ
     if isinstance(sd, FamilyOf):
         return gen_family(rng, sd.inner, bound)
     if isinstance(sd, TaggedSum):
-        tag = rng.randrange(sd.count)
+        tag = rng.randrange(len(sd.parts))
         return Tagged(nat(tag), gen_point(rng, sd.parts[tag], bound))
     if isinstance(sd, TowerSum):
         tag = rng.randint(0, 2)

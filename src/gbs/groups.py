@@ -31,8 +31,6 @@ from .spaces import (
     grid_ordvals,
     iter_words,
     point_code,
-    point_stab_block,
-    restrict_point,
     starts_with,
     word_from_bits,
     xor_prefix,
@@ -295,7 +293,7 @@ def cylinder_enumeration(delta: int = 4) -> CylinderEnumeration:
 
 @lru_cache(maxsize=1024)
 def _restr_key(p: Point, cut: Ordinal) -> str:
-    return canonical_key(restrict_point(p, cut))
+    return canonical_key(p.restrict(cut))
 
 
 def _check_separation(points: Sequence[Bits], delta: int) -> None:
@@ -391,12 +389,12 @@ def red_ac3_selector(act: GroupAction, schedule: ChainSchedule, x: Bits) -> Ords
     if schedule.group is not act.group:
         raise GroupError("schedule and action use different groups")
     stab = max(
-        [schedule.length] + [point_stab_block(act.apply(g, x)) for g in act.group.elements()]
+        [schedule.length] + [act.apply(g, x).stab_block() for g in act.group.elements()]
     )
     codes = []
     for q in range(stab + 1):
         level = omega_times(q)
-        rx = restrict_point(x, level)
+        rx = x.restrict(level)
         best = canonical_min([act.apply(g, rx) for g in schedule.at(q)])
         codes.append(point_code(best))
     return grid_ordvals(x.bound, codes)

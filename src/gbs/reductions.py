@@ -21,8 +21,6 @@ from .spaces import (
     Ords,
     grid_ordvals,
     point_code,
-    point_stab_block,
-    restrict_point,
     validate_point,
     word_from_bits,
     xor_prefix,
@@ -53,10 +51,10 @@ def red_E1_to_E0(x: Family) -> Ords:
     code of the class of the restriction.  Bounded disagreement of families
     becomes bounded disagreement of the codes and conversely."""
     validate_point(x, FamilyOf(BITS))
-    top = max(point_stab_block(x), 2)
+    top = max(x.stab_block(), 2)
     vals = [0]
     for q in range(1, top + 1):
-        xa = restrict_point(x, omega_times(q))
+        xa = x.restrict(omega_times(q))
         vals.append(point_code(_tail_class_rep(xa, q)))
     return grid_ordvals(x.bound, vals)
 

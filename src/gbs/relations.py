@@ -68,7 +68,6 @@ from .spaces import (
     TowerSum,
     diff_map,
     family_power,
-    restrict_point,
     validate_point,
     word_from_bits,
     xor_prefix,
@@ -114,11 +113,16 @@ class EqRelHandle:
         return f"{self.kind} on {self.space}"
 
 
-def decide(rel: EqRelHandle, x, y) -> bool:
+def check_pair(rel: EqRelHandle, x, y) -> None:
+    """The points inhabit the relation's space and share one bound."""
     validate_point(x, rel.space)
     validate_point(y, rel.space)
     if x.bound != y.bound:
         raise SpaceError(f"points with unequal bounds {x.bound} and {y.bound}")
+
+
+def decide(rel: EqRelHandle, x, y) -> bool:
+    check_pair(rel, x, y)
     return rel.kind.decide(x, y)
 
 
@@ -218,7 +222,9 @@ class E1Approx(RelKind):
         return f"e1[{self.level}]"
 
     def decide(self, x, y) -> bool:
-        return decide_E0(restrict_point(x, self.level), restrict_point(y, self.level))
+        if x.bound < self.level:
+            raise RelationError(f"approximation level {self.level} exceeds the points' bound {x.bound}")
+        return decide_E0(x.restrict(self.level), y.restrict(self.level))
 
     def edit(self, rng, space, x):
         return _edit_e1(rng, x, self.level)

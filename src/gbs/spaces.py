@@ -1,10 +1,13 @@
 """Points of the sequence spaces and their structural operations.
 
-Four point shapes cover everything the deciders consume: bit sequences,
-ordinal-valued sequences, finite families of points indexed by a pattern
-assignment, and tagged points of a disjoint sum.  All of them are immutable
-and canonical on construction, so structural equality is extensional
-equality and points can serve directly as dict keys.
+Each point shape is one class that owns its operations (`bound`, `serial`,
+`restrict`; `stab_block` but for words; `at` for sequences and families):
+bit and ordinal sequences, which share `SeqPoint` and differ only in their
+value check and serial letter; finite families of points indexed by a
+pattern assignment; tagged points of a disjoint sum; and finite bit words.
+Each space descriptor owns `contains`.  All points are immutable and canonical on
+construction, so structural equality is extensional equality and points can
+serve directly as dict keys.
 
 The canonical total order on points is lexicographic on their serialized
 form.  Serial strings lead with the value at position 0 and never mention
@@ -15,7 +18,7 @@ the same content is viewed at different restriction levels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, Sequence, Tuple
 
 from .ordinals import ZERO, Ordinal, nat
 from .patterns import (
@@ -41,49 +44,73 @@ class SpaceError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+class SpaceDescriptor:
+    """A space; each subclass says which points inhabit it (`contains`)."""
+
+    __slots__ = ()
+
+
 @dataclass(frozen=True)
-class BitSpace:
+class BitSpace(SpaceDescriptor):
+    def contains(self, p) -> bool:
+        return isinstance(p, Bits)
+
     def __str__(self) -> str:
         return "bits"
 
 
 @dataclass(frozen=True)
-class OrdSpace:
+class OrdSpace(SpaceDescriptor):
+    def contains(self, p) -> bool:
+        return isinstance(p, Ords)
+
     def __str__(self) -> str:
         return "ords"
 
 
 @dataclass(frozen=True)
-class FamilyOf:
-    inner: "SpaceDescriptor"
+class FamilyOf(SpaceDescriptor):
+    inner: SpaceDescriptor
+
+    def contains(self, p) -> bool:
+        return isinstance(p, Family) and all(self.inner.contains(c) for c in p.components)
 
     def __str__(self) -> str:
         return f"family({self.inner})"
 
 
 @dataclass(frozen=True)
-class TaggedSum:
-    parts: Tuple["SpaceDescriptor", ...]
+class TaggedSum(SpaceDescriptor):
+    parts: Tuple[SpaceDescriptor, ...]
 
-    @property
-    def count(self) -> int:
-        return len(self.parts)
+    def contains(self, p) -> bool:
+        return (
+            isinstance(p, Tagged)
+            and p.tag.is_nat()
+            and p.tag.to_nat() < len(self.parts)
+            and self.parts[p.tag.to_nat()].contains(p.payload)
+        )
 
     def __str__(self) -> str:
         return "sum(" + ", ".join(str(p) for p in self.parts) + ")"
 
 
 @dataclass(frozen=True)
-class TowerSum:
+class TowerSum(SpaceDescriptor):
     """Disjoint sum of family(...family(base)) over all finite depths."""
 
-    base: "SpaceDescriptor"
+    base: SpaceDescriptor
+
+    def contains(self, p) -> bool:
+        return (
+            isinstance(p, Tagged)
+            and p.tag.is_nat()
+            and family_power(self.base, p.tag.to_nat()).contains(p.payload)
+        )
 
     def __str__(self) -> str:
         return f"tower({self.base})"
 
-
-SpaceDescriptor = Union[BitSpace, OrdSpace, FamilyOf, TaggedSum, TowerSum]
 
 BITS = BitSpace()
 ORDS = OrdSpace()
@@ -100,33 +127,59 @@ def family_power(sd: SpaceDescriptor, depth: int) -> SpaceDescriptor:
 # ---------------------------------------------------------------------------
 
 
+class Point:
+    """A point; each subclass is one shape and owns `bound`, `serial` and
+    `restrict`."""
+
+    __slots__ = ()
+
+    def at(self, a: Ordinal):
+        """Value at position a: a bit, an ordinal, or the indexed component."""
+        raise SpaceError("position evaluation needs a sequence or family point")
+
+
 @dataclass(frozen=True)
-class Bits:
+class SeqPoint(Point):
+    """Values on [0, bound); subclasses add the value check and `letter`."""
+
     seq: PatternMap
+
+    @property
+    def bound(self) -> Ordinal:
+        return self.seq.bound
+
+    def serial(self, open_ended: bool = False) -> str:
+        return self.letter + "{" + _pm_serial(self.seq, open_ended) + "}"
+
+    def at(self, a: Ordinal):
+        return pm_eval(self.seq, a)
+
+    def restrict(self, a: Ordinal) -> "SeqPoint":
+        return type(self)(pm_restrict(self.seq, a))
+
+    def stab_block(self) -> int:
+        return pattern_stab_block(self.seq)
+
+
+@dataclass(frozen=True)
+class Bits(SeqPoint):
+    letter = "B"
 
     def __post_init__(self):
         if not pm_value_set(self.seq) <= {0, 1}:
             raise SpaceError("bit sequence with values outside {0,1}")
 
-    @property
-    def bound(self) -> Ordinal:
-        return self.seq.bound
-
 
 @dataclass(frozen=True)
-class Ords:
-    seq: PatternMap
+class Ords(SeqPoint):
+    letter = "O"
 
     def __post_init__(self):
         if not all(isinstance(v, Ordinal) for v in pm_value_set(self.seq)):
             raise SpaceError("ordinal sequence with non-ordinal values")
 
-    @property
-    def bound(self) -> Ordinal:
-        return self.seq.bound
 
-
-class Family:
+class Family(Point):
     """Finitely many distinct component points plus an index assignment.
 
     The constructor canonicalizes: components the assignment never mentions
@@ -137,7 +190,7 @@ class Family:
 
     __slots__ = ("components", "assignment", "_hash")
 
-    def __init__(self, components: Sequence["Point"], assignment: PatternMap):
+    def __init__(self, components: Sequence[Point], assignment: PatternMap):
         comps = tuple(components)
         refs = pm_value_set(assignment)
         for v in refs:
@@ -147,7 +200,7 @@ class Family:
         keyed = {}
         for i in sorted(refs):
             c = comps[i]
-            if point_bound(c) != bound:
+            if c.bound != bound:
                 raise SpaceError("component bound disagrees with assignment bound")
             keyed[i] = canonical_key(c)
         order = sorted(set(keyed.values()))
@@ -165,6 +218,21 @@ class Family:
     @property
     def bound(self) -> Ordinal:
         return self.assignment.bound
+
+    def serial(self, open_ended: bool = False) -> str:
+        comps = "&".join(c.serial(open_ended) for c in self.components)
+        return "F{" + comps + "|" + _pm_serial(self.assignment, open_ended) + "}"
+
+    def at(self, a: Ordinal) -> Point:
+        return self.components[pm_eval(self.assignment, a)]
+
+    def restrict(self, a: Ordinal) -> "Family":
+        if not (a.is_limit() or a.is_zero()):
+            raise SpaceError("family restriction needs a limit level")
+        return Family([c.restrict(a) for c in self.components], pm_restrict(self.assignment, a))
+
+    def stab_block(self) -> int:
+        return max([c.stab_block() for c in self.components] + [pattern_stab_block(self.assignment)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Family):
@@ -185,21 +253,28 @@ class Family:
 
 
 @dataclass(frozen=True)
-class Tagged:
+class Tagged(Point):
     tag: Ordinal
-    payload: "Point"
+    payload: Point
 
     @property
     def bound(self) -> Ordinal:
-        return point_bound(self.payload)
+        return self.payload.bound
 
+    def serial(self, open_ended: bool = False) -> str:
+        return "T{" + str(self.tag) + "|" + self.payload.serial(open_ended) + "}"
 
-Point = Union[Bits, Ords, Family, Tagged]
+    def restrict(self, a: Ordinal) -> "Tagged":
+        return Tagged(self.tag, self.payload.restrict(a))
+
+    def stab_block(self) -> int:
+        return self.payload.stab_block()
 
 
 @dataclass(frozen=True)
-class FiniteWord:
-    """A bit word on [0, dom); the dom is part of the content."""
+class FiniteWord(Point):
+    """A bit word on [0, dom); the dom is part of the content, so serials
+    always name it and restrictions never reach a stable key."""
 
     bits: PatternMap
 
@@ -210,6 +285,14 @@ class FiniteWord:
     @property
     def dom(self) -> Ordinal:
         return self.bits.bound
+
+    bound = dom
+
+    def serial(self, open_ended: bool = False) -> str:
+        return "W{" + _pm_serial(self.bits, False) + "}"
+
+    def restrict(self, a: Ordinal) -> "FiniteWord":
+        return FiniteWord(pm_restrict(self.bits, a))
 
 
 def word_from_bits(values: Sequence[int]) -> FiniteWord:
@@ -249,23 +332,8 @@ def _pm_serial(m: PatternMap, open_ended: bool) -> str:
     return ";".join(out)
 
 
-def serialize_point(p: Point, open_ended: bool = False) -> str:
-    if isinstance(p, Bits):
-        return "B{" + _pm_serial(p.seq, open_ended) + "}"
-    if isinstance(p, Ords):
-        return "O{" + _pm_serial(p.seq, open_ended) + "}"
-    if isinstance(p, Family):
-        comps = "&".join(serialize_point(c, open_ended) for c in p.components)
-        return "F{" + comps + "|" + _pm_serial(p.assignment, open_ended) + "}"
-    if isinstance(p, Tagged):
-        return "T{" + str(p.tag) + "|" + serialize_point(p.payload, open_ended) + "}"
-    if isinstance(p, FiniteWord):
-        return "W{" + _pm_serial(p.bits, False) + "}"
-    raise SpaceError(f"not a point: {p!r}")
-
-
 def canonical_key(p: Point) -> str:
-    return serialize_point(p, open_ended=True)
+    return p.serial(open_ended=True)
 
 
 def canonical_min(points: Iterable[Point]) -> Point:
@@ -285,68 +353,9 @@ def point_code(p: Point) -> int:
 # ---------------------------------------------------------------------------
 
 
-def point_bound(p: Point) -> Ordinal:
-    if isinstance(p, (Bits, Ords, Family, Tagged)):
-        return p.bound
-    if isinstance(p, FiniteWord):
-        return p.dom
-    raise SpaceError(f"not a point: {p!r}")
-
-
-def point_in_space(p: Point, sd: SpaceDescriptor) -> bool:
-    if isinstance(sd, BitSpace):
-        return isinstance(p, Bits)
-    if isinstance(sd, OrdSpace):
-        return isinstance(p, Ords)
-    if isinstance(sd, FamilyOf):
-        return isinstance(p, Family) and all(
-            point_in_space(c, sd.inner) for c in p.components
-        )
-    if isinstance(sd, TaggedSum):
-        return (
-            isinstance(p, Tagged)
-            and p.tag.is_nat()
-            and p.tag.to_nat() < sd.count
-            and point_in_space(p.payload, sd.parts[p.tag.to_nat()])
-        )
-    if isinstance(sd, TowerSum):
-        return (
-            isinstance(p, Tagged)
-            and p.tag.is_nat()
-            and point_in_space(p.payload, family_power(sd.base, p.tag.to_nat()))
-        )
-    raise SpaceError(f"not a space descriptor: {sd!r}")
-
-
 def validate_point(p: Point, sd: SpaceDescriptor) -> None:
-    if not point_in_space(p, sd):
+    if not sd.contains(p):
         raise SpaceError(f"point does not inhabit {sd}")
-
-
-def point_eval(p: Point, a: Ordinal):
-    """Value at position a: a bit, an ordinal, or the indexed component."""
-    if isinstance(p, (Bits, Ords)):
-        return pm_eval(p.seq, a)
-    if isinstance(p, Family):
-        return p.components[pm_eval(p.assignment, a)]
-    raise SpaceError("position evaluation needs a sequence or family point")
-
-
-def restrict_point(p: Point, a: Ordinal) -> Point:
-    if isinstance(p, Bits):
-        return Bits(pm_restrict(p.seq, a))
-    if isinstance(p, Ords):
-        return Ords(pm_restrict(p.seq, a))
-    if isinstance(p, Family):
-        if not (a.is_limit() or a.is_zero()):
-            raise SpaceError("family restriction needs a limit level")
-        return Family(
-            [restrict_point(c, a) for c in p.components],
-            pm_restrict(p.assignment, a),
-        )
-    if isinstance(p, Tagged):
-        return Tagged(p.tag, restrict_point(p.payload, a))
-    raise SpaceError(f"not a point: {p!r}")
 
 
 def zero_pad_embed(w: FiniteWord, b: Ordinal) -> FiniteWord:
@@ -385,9 +394,7 @@ def xor_prefix(w: FiniteWord, x: Bits) -> Bits:
 
 def diff_map(x: Point, y: Point) -> PatternMap:
     """Indicator of pointwise disagreement (families compare components)."""
-    if isinstance(x, Bits) and isinstance(y, Bits):
-        return pm_zip(x.seq, y.seq, lambda a, b: 0 if a == b else 1)
-    if isinstance(x, Ords) and isinstance(y, Ords):
+    if isinstance(x, SeqPoint) and type(x) is type(y):
         return pm_zip(x.seq, y.seq, lambda a, b: 0 if a == b else 1)
     if isinstance(x, Family) and isinstance(y, Family):
         return pm_zip(
@@ -436,15 +443,3 @@ def pattern_stab_block(m: PatternMap) -> int:
             q = max(q, blk.to_nat() + 1)
     return q
 
-
-def point_stab_block(p: Point) -> int:
-    """Block index beyond which canonical keys of restrictions stop changing."""
-    if isinstance(p, (Bits, Ords)):
-        return pattern_stab_block(p.seq)
-    if isinstance(p, Family):
-        parts = [point_stab_block(c) for c in p.components]
-        parts.append(pattern_stab_block(p.assignment))
-        return max(parts)
-    if isinstance(p, Tagged):
-        return point_stab_block(p.payload)
-    raise SpaceError(f"no stabilization bound for {p!r}")

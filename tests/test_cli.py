@@ -72,6 +72,26 @@ def test_decide_unequal_bounds_is_input_error(capsys):
     assert "unequal bounds w^2 and w*3" in err
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_decide_rejects_points_off_lambda(capsys, flags):
+    xw3 = "(bits [0,w*3) lim=0 word=0)"
+    code, out, err = run(capsys, "decide", "e0", xw3, "(bits [0,w*3) lim=0 word=1)", *flags)
+    assert (code, out, err) == (2, "", "gbs: point: point bounded by w*3, not lambda w^2\n")
+
+
+def test_decide_names_the_file_of_a_point_off_lambda(capsys, tmp_path):
+    doc = tmp_path / "x.gbs"
+    doc.write_text("(bits [0,w^3) lim=0 word=0)\n")
+    code, out, err = run(capsys, "decide", "id", doc, doc)
+    assert (code, out, err) == (2, "", f"gbs: {doc}: point bounded by w^3, not lambda w^2\n")
+
+
+def test_decide_e1_approx_above_the_bound_is_input_error(capsys):
+    f = "(family ((bits [0,w^2) lim=0 word=0)) [0,w^2) lim=0 word=0)"
+    code, out, err = run(capsys, "decide", "(e1-approx w^3)", f, f)
+    assert (code, out, err) == (2, "", "gbs: approximation level w^3 exceeds the points' bound w^2\n")
+
+
 def test_decide_bad_point_reports_position(capsys):
     code, _, err = run(capsys, "decide", "e0", "(bits [0,w^2) lim=2 word=0)", X0)
     assert code == 2
@@ -212,6 +232,17 @@ def test_orbit_passes(capsys):
     code, out, _ = run(capsys, "orbit-e0", SPECS / "orbit-z4.gbs")
     assert code == 0
     assert out.startswith("verdict: pass")
+
+
+@pytest.mark.parametrize("bound", ["w*3", "3", "w^3"])
+def test_orbit_rejects_a_point_off_lambda(capsys, tmp_path, bound):
+    doc = tmp_path / "orbit.gbs"
+    doc.write_text(
+        "(orbit (action z4 (permute 4 0123 1230 2301 3012))"
+        f" (point (bits [0,{bound}) lim=0 word=01)) (pairs 8))\n"
+    )
+    code, out, err = run(capsys, "orbit-e0", doc)
+    assert (code, out, err) == (2, "", f"gbs: {doc}: point bounded by {bound}, not lambda w^2\n")
 
 
 def test_jump_tower_level_one(capsys):

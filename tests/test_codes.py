@@ -44,7 +44,6 @@ from gbs.spaces import (
     Tagged,
     iter_words,
     point_code,
-    restrict_point,
     word_from_bits,
     word_to_bits,
     zeros,
@@ -385,7 +384,7 @@ def test_approx_stability_sampled():
         assert approx_lemma_check(code, pair, grid_depth=8).stable
         # the raw stabilization identity at one fixed good level
         a = omega_times(5)
-        ra = tuple(restrict_point(p, a) for p in pair)
+        ra = tuple(p.restrict(a) for p in pair)
         assert game_member(pair, code) == game_member(ra, code_restrict(code, a))
 
 
@@ -482,8 +481,8 @@ def test_code_id_restriction_is_identity_on_prefix_pool():
     words = [[(n >> 2) & 1, (n >> 1) & 1, n & 1] for n in range(8)]
     for _ in range(60):
         i, j = rng.randrange(8), rng.randrange(8)
-        x = restrict_point(pt(*words[i]), OMEGA)
-        y = restrict_point(pt(*words[j]), OMEGA)
+        x = pt(*words[i]).restrict(OMEGA)
+        y = pt(*words[j]).restrict(OMEGA)
         assert game_member((x, y), r) == (i == j)
 
 
@@ -688,7 +687,7 @@ def test_class_code_pool_fallback():
     assert c_one != class_code(code, a, pt(0, 1, 1), pool)
     # empty pool falls back to the restriction itself
     q = pt(1, 0, 1)
-    assert class_code(code, a, q) == point_code(restrict_point(q, a))
+    assert class_code(code, a, q) == point_code(q.restrict(a))
 
 
 def test_red_S_to_cub_identity_code():

@@ -48,7 +48,6 @@ from gbs.spaces import (
     Tagged,
     TaggedSum,
     TowerSum,
-    point_eval,
     word_from_bits,
     xor_prefix,
     zeros,
@@ -260,7 +259,7 @@ def test_e1_phase_shift_is_cofinal_disagreement():
     # sampled oracle: a disagreement index inside every block up to w*20
     for q in range(21):
         pos = omega_times(q, 1)
-        assert point_eval(x, pos) != point_eval(y, pos)
+        assert x.at(pos) != y.at(pos)
     assert not decide_E1(x, y)
     assert not decide_E1(x, y, omega_times(5))
 
@@ -278,6 +277,12 @@ def test_e1_approx_ignores_everything_above_its_level():
     assert not decide_E1(x, y)
     with pytest.raises(RelationError):
         decide_E1(x, y, omega_times(3, 1))
+
+
+def test_e1_approx_above_the_points_bound_is_an_error():
+    f = Family([zeros(L)], PatternMap.constant(L, 0))
+    with pytest.raises(RelationError, match="level w\\^3 exceeds the points' bound w\\^2"):
+        decide(rel_e1_approx(parse_ordinal_text("w^3")), f, f)
 
 
 # --- id+ and id+* -------------------------------------------------------------------

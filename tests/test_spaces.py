@@ -26,13 +26,7 @@ from gbs.spaces import (
     diff_map,
     family_power,
     iter_words,
-    point_bound,
     point_code,
-    point_eval,
-    point_in_space,
-    point_stab_block,
-    restrict_point,
-    serialize_point,
     starts_with,
     validate_point,
     word_from_bits,
@@ -96,11 +90,11 @@ def test_serialization_is_injective_on_samples():
     seen = {}
     for _ in range(200):
         x = indicator({rng.randrange(10) for _ in range(rng.randint(0, 4))})
-        s = serialize_point(x)
+        s = x.serial()
         if s in seen:
             assert seen[s] == x
         seen[s] = x
-    distinct = {serialize_point(p) for p in (zeros(L), indicator({0}), indicator({1}))}
+    distinct = {p.serial() for p in (zeros(L), indicator({0}), indicator({1}))}
     assert len(distinct) == 3
 
 
@@ -109,10 +103,10 @@ def test_point_code_distinguishes_and_stabilizes():
     assert point_code(a) != point_code(b)
     # content constant from some level on: open-ended codes of restrictions agree
     x = indicator({1, 4})
-    c3 = point_code(restrict_point(x, omega_times(3)))
-    c5 = point_code(restrict_point(x, omega_times(5)))
+    c3 = point_code(x.restrict(omega_times(3)))
+    c5 = point_code(x.restrict(omega_times(5)))
     assert c3 == c5
-    assert point_code(restrict_point(x, L)) == c3
+    assert point_code(x.restrict(L)) == c3
 
 
 # --- family canonicalization ----------------------------------------------------
@@ -133,9 +127,9 @@ def test_family_dedups_and_remaps():
     f = fam([a, zeros(L), Bits(PatternMap.constant(L, 0))], [(ZERO, OMEGA, 0, (1,)), (OMEGA, L, 2, (0,))])
     # components 1 and 2 are equal; they merge and the assignment follows
     assert len(f.components) == 2
-    assert point_eval(f, nat(1)) == zeros(L)
-    assert point_eval(f, OMEGA) == zeros(L)
-    assert point_eval(f, OMEGA + 1) == a
+    assert f.at(nat(1)) == zeros(L)
+    assert f.at(OMEGA) == zeros(L)
+    assert f.at(OMEGA + 1) == a
 
 
 def test_family_sorts_components_canonically():
@@ -161,14 +155,14 @@ def test_family_rejects_bad_assignments():
 
 def test_point_in_space():
     f = fam([zeros(L)], [(ZERO, L, 0, (0,))])
-    assert point_in_space(zeros(L), BITS)
-    assert point_in_space(f, FamilyOf(BITS))
-    assert not point_in_space(f, BITS)
+    assert BITS.contains(zeros(L))
+    assert FamilyOf(BITS).contains(f)
+    assert not BITS.contains(f)
     t = Tagged(nat(1), f)
-    assert point_in_space(t, TaggedSum((BITS, FamilyOf(BITS))))
-    assert not point_in_space(t, TaggedSum((BITS, BITS)))
-    assert point_in_space(Tagged(nat(1), f), TowerSum(BITS))
-    assert not point_in_space(Tagged(nat(2), f), TowerSum(BITS))
+    assert TaggedSum((BITS, FamilyOf(BITS))).contains(t)
+    assert not TaggedSum((BITS, BITS)).contains(t)
+    assert TowerSum(BITS).contains(Tagged(nat(1), f))
+    assert not TowerSum(BITS).contains(Tagged(nat(2), f))
     validate_point(t, TaggedSum((BITS, FamilyOf(BITS))))
     with pytest.raises(SpaceError):
         validate_point(t, TaggedSum((BITS, BITS)))
@@ -180,22 +174,22 @@ def test_point_in_space():
 
 def test_restrict_identity_and_coherence():
     x = indicator({0, 3, 5})
-    assert restrict_point(x, L) == x
-    r1 = restrict_point(restrict_point(x, omega_times(3)), OMEGA)
-    assert r1 == restrict_point(x, OMEGA)
+    assert x.restrict(L) == x
+    r1 = x.restrict(omega_times(3)).restrict(OMEGA)
+    assert r1 == x.restrict(OMEGA)
 
 
 def test_restrict_family_truncates_everything():
     a, b = indicator({1}), indicator({3})
     f = fam([a, b], [(ZERO, OMEGA, 0, (1,)), (OMEGA, L, 1, (0,))])
-    r = restrict_point(f, OMEGA)
-    assert point_bound(r) == OMEGA
+    r = f.restrict(OMEGA)
+    assert r.bound == OMEGA
     for c in r.components:
-        assert point_bound(c) == OMEGA
+        assert c.bound == OMEGA
     for i in range(5):
-        assert point_eval(r, nat(i)) == restrict_point(point_eval(f, nat(i)), OMEGA)
+        assert r.at(nat(i)) == f.at(nat(i)).restrict(OMEGA)
     with pytest.raises(SpaceError):
-        restrict_point(f, OMEGA + 1)  # family levels are limits
+        f.restrict(OMEGA + 1)  # family levels are limits
 
 
 def test_restrict_family_can_collapse_components():
@@ -204,7 +198,7 @@ def test_restrict_family_can_collapse_components():
     b = Bits(pm_splice(PatternMap.build(L, [(ZERO, L, 1, (0,))]), OMEGA, pm_restrict(a.seq, OMEGA)))
     f = fam([a, b], [(ZERO, OMEGA, 0, (1,)), (OMEGA, L, 0, (0,))])
     assert len(f.components) == 2
-    r = restrict_point(f, OMEGA)
+    r = f.restrict(OMEGA)
     assert len(r.components) == 1
 
 
@@ -218,6 +212,15 @@ def test_word_roundtrip_and_enumeration():
     words = list(iter_words(3))
     assert [word_values(w) for w in words] == [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
     assert len(set(map(canonical_key, words))) == len(words)
+
+
+def test_word_bound_and_restrict():
+    w = word_from_bits([1, 0, 1])
+    assert w.bound == w.dom == nat(3)
+    assert w.restrict(nat(2)) == word_from_bits([1, 0])
+    assert zero_pad_embed(w, omega_times(2)).restrict(OMEGA) == zero_pad_embed(w, OMEGA)
+    with pytest.raises(SpaceError, match="position evaluation"):
+        w.at(ZERO)
 
 
 def test_zero_pad_embed():
@@ -389,11 +392,11 @@ def test_diff_map_on_families_compares_components():
 
 def test_point_eval_variants():
     x = indicator({2})
-    assert point_eval(x, nat(2)) == 1
+    assert x.at(nat(2)) == 1
     o = Ords(PatternMap.constant(L, OMEGA))
-    assert point_eval(o, nat(5)) == OMEGA
+    assert o.at(nat(5)) == OMEGA
     with pytest.raises(SpaceError):
-        point_eval(Tagged(ZERO, x), ZERO)
+        Tagged(ZERO, x).at(ZERO)
 
 
 # --- structural outputs, pinned -------------------------------------------------
@@ -415,10 +418,10 @@ def test_structural_outputs_are_pinned():
     spaces = [gen_space(rng) for _ in range(30)]
     pool = [gen_point(rng, sd) for sd in spaces for _ in range(3)]
     words = list(iter_words(4))
-    serials = _crc(serialize_point(p, oe) for p in pool + words for oe in (True, False))
+    serials = _crc(p.serial(oe) for p in pool + words for oe in (True, False))
     codes = _crc(str(point_code(p)) for p in pool)
     levels = [omega_times(q) for q in (1, 3, 6)]
-    restricted = _crc(canonical_key(restrict_point(p, a)) for p in pool for a in levels)
-    stab = _crc(str(point_stab_block(p)) for p in pool)
-    member = _crc("".join("01"[point_in_space(p, sd)] for sd in spaces) for p in pool)
+    restricted = _crc(canonical_key(p.restrict(a)) for p in pool for a in levels)
+    stab = _crc(str(p.stab_block()) for p in pool)
+    member = _crc("".join("01"[sd.contains(p)] for sd in spaces) for p in pool)
     assert (serials, codes, restricted, stab, member) == STRUCTURE_PINS
