@@ -9,13 +9,15 @@ import pytest
 from gbs import relations
 from gbs.dsl import DslError, parse_ordinal_text, parse_spec, print_point, print_rel
 from gbs.generators import (
+    ORD_VALUES,
     equivalent_pair,
+    gen_pattern,
     gen_point,
     inequivalent_pair,
     related_triple,
     sample_pair,
 )
-from gbs.ordinals import OMEGA, OMEGA_SQ, ZERO, nat, omega_times
+from gbs.ordinals import OMEGA, OMEGA_SQ, ZERO, Ordinal, nat, omega_times
 from gbs.patterns import PatternMap, pm_write_finite
 from gbs.relations import (
     CubParams,
@@ -45,6 +47,7 @@ from gbs.spaces import (
     Bits,
     Family,
     FamilyOf,
+    Ords,
     Tagged,
     TaggedSum,
     TowerSum,
@@ -146,6 +149,30 @@ def test_kind_rendering_and_generated_points_are_pinned(rel, pin):
     eq = _printed_crc([equivalent_pair(rng, rel) for _ in range(5)])
     ineq = _printed_crc([inequivalent_pair(rng, rel) for _ in range(5)])
     assert (str(rel), print_rel(rel), eq, ineq) == pin
+
+
+# crc32 of the serials of 200 gen_pattern maps per bound (bit and ordinal
+# alphabets alternating) from Random(4309 + i), and the draw that follows:
+# the generated maps and the random stream they consume are both pinned.
+GEN_PINS = [
+    (nat(5), 0x290c5a4e, 0.33673429346738504),
+    (omega_times(3, 2), 0x43716d4e, 0.5423673976993099),
+    (OMEGA_SQ, 0xa53413cf, 0.7223959844702653),
+    (Ordinal(((3, 1),)), 0xa79ef24a, 0.5691225297572935),
+]
+
+
+@pytest.mark.parametrize("i", range(len(GEN_PINS)), ids=[str(p[0]) for p in GEN_PINS])
+def test_gen_pattern_draws_are_pinned(i):
+    bound, crc, after = GEN_PINS[i]
+    rng = random.Random(4309 + i)
+    serials = []
+    for j in range(200):
+        if j % 2:
+            serials.append(Ords(gen_pattern(rng, bound, ORD_VALUES)).serial())
+        else:
+            serials.append(Bits(gen_pattern(rng, bound, (0, 1))).serial())
+    assert (zlib.crc32("\n".join(serials).encode()), rng.random()) == (crc, after)
 
 
 def test_certified_builders_never_consult_a_decider(monkeypatch):
