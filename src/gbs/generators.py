@@ -13,6 +13,7 @@ comparing them against `decide` are honest two-route checks.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from typing import Tuple
 
 from .ordinals import OMEGA_SQ, ZERO, Ordinal, nat, omega_times
@@ -48,10 +49,10 @@ def gen_limit(rng: random.Random, qcap: int = 6) -> Ordinal:
     return omega_times(rng.randint(1, qcap))
 
 
-def gen_pattern(rng: random.Random, bound: Ordinal, alphabet, max_pieces: int = 5) -> PatternMap:
-    """Random canonical map: a handful of pieces with short words, boundary
-    nat parts below 9."""
-    alphabet = list(alphabet)
+@lru_cache(maxsize=64)
+def _cut_candidates(bound: Ordinal) -> Tuple[Ordinal, ...]:
+    """The positions w*q + n strictly between 0 and bound with n below 9 and
+    q at most 8 (or bound's block index, when that is finite)."""
     blk = bound.block_index()
     bq = blk.to_nat() if blk.is_nat() else 8
     cand = []
@@ -61,6 +62,14 @@ def gen_pattern(rng: random.Random, bound: Ordinal, alphabet, max_pieces: int = 
             o = omega_times(q, n)
             if ZERO < o and o < bound:
                 cand.append(o)
+    return tuple(cand)
+
+
+def gen_pattern(rng: random.Random, bound: Ordinal, alphabet, max_pieces: int = 5) -> PatternMap:
+    """Random canonical map: a handful of pieces with short words, boundary
+    nat parts below 9."""
+    alphabet = list(alphabet)
+    cand = _cut_candidates(bound)
     k = rng.randint(0, min(max_pieces - 1, len(cand)))
     cuts = sorted(rng.sample(cand, k))
     edges = [ZERO] + cuts + [bound]

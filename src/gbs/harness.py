@@ -27,7 +27,7 @@ from .reductions import (
     red_E0_to_idplus,
     red_E1_to_E0,
 )
-from .relations import EqRelHandle, decide, decide_E0
+from .relations import E1Approx, EqRelHandle, decide, decide_E0
 from .spaces import (
     BITS,
     ORDS,
@@ -89,7 +89,9 @@ class ReductionSpec:
     generator: GenPolicy = GenPolicy("constructed", n_eq=25, n_ineq=25)
 
     def __post_init__(self):
-        _resolve(self, WorkbenchConfig())  # fail fast on unknown maps and space mismatches
+        # fail fast on unknown maps and space mismatches; the checks against
+        # lambda wait for the run's config
+        _resolve(self, None)
 
 
 @dataclass(frozen=True)
@@ -141,7 +143,7 @@ def _support(params: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(sorted(set(params)))
 
 
-def _resolve(spec: "ReductionSpec", cfg: WorkbenchConfig) -> _Resolved:
+def _resolve(spec: "ReductionSpec", cfg: Optional[WorkbenchConfig]) -> _Resolved:
     name = spec.map_name
     if name == "e1-to-e0":
         if spec.params:
@@ -194,6 +196,12 @@ def _resolve(spec: "ReductionSpec", cfg: WorkbenchConfig) -> _Resolved:
         raise HarnessError(
             f"map {name} produces {out_space}, but the target relation lives on {spec.target.space}"
         )
+    for side, rel in (("source", spec.source), ("target", spec.target)):
+        level = rel.kind.level if isinstance(rel.kind, E1Approx) else None
+        if cfg is not None and level is not None and cfg.lam < level:
+            raise HarnessError(
+                f"approximation level {level} of the {side} relation exceeds lambda {cfg.lam}"
+            )
     return res
 
 
@@ -403,8 +411,22 @@ def verify_reduction(spec: ReductionSpec, config: Optional[WorkbenchConfig] = No
     src = res.src_decide or (lambda a, b: decide(spec.source, a, b))
     fmap = functools.lru_cache(maxsize=4096)(res.fn)
 
+    # the stage running when a pair raises: source decider, map, target decider
+    stages = (
+        f"in the source decider {spec.source}",
+        f"under {spec.map_name}",
+        f"in the target decider {spec.target}",
+    )
+    stage = 0
+
     def mismatch(a: Point, b: Point) -> bool:
-        return src(a, b) != decide(spec.target, fmap(a), fmap(b))
+        nonlocal stage
+        stage = 0
+        want = src(a, b)
+        stage = 1
+        fa, fb = fmap(a), fmap(b)
+        stage = 2
+        return want != decide(spec.target, fa, fb)
 
     def still_failing(a: Point, b: Point) -> bool:
         # a shrinking step that makes the map or a decider raise is just a dead end
@@ -419,7 +441,7 @@ def verify_reduction(spec: ReductionSpec, config: Optional[WorkbenchConfig] = No
         except (ValueError, TypeError) as exc:
             return Report(
                 "inputError", i, 0, cfg.seed, cfg.lam, _ms(t0),
-                detail=f"pair {i + 1} raised under {spec.map_name}: {exc}",
+                detail=f"pair {i + 1} raised {stages[stage]}: {exc}",
             )
         if bad:
             sx, sy = _shrink_pair(x, y, still_failing)

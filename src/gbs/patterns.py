@@ -20,6 +20,11 @@ Two invariants of the canonical form let restriction, the value set and
 one-to-one maps read or copy the pieces without canonicalising again:
 every value slot of a canonical piece is observed at some position, and a
 canonical piece crosses a block start only inside a run with no prefix.
+Put the other way round, a block whose normalised prefix is empty lies
+inside a run piece that starts at a block start and ends at one.  So a
+finite write rebuilds block 0 alone: it keeps the pieces from w up, starts
+the one crossing w at w, and joins block 0 to the piece at w only when
+block 0 has no prefix and that piece is a run with the same content.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Iterable, Optional, Sequence, Tuple
 
-from .ordinals import ZERO, ONE, Ordinal, ord_max
+from .ordinals import OMEGA, ONE, ZERO, Ordinal, ord_max
 
 Value = Any
 INFINITE = math.inf
@@ -175,31 +180,32 @@ def _piece_at(pieces: Sequence[Piece], alpha: Ordinal) -> Piece:
     raise PatternError(f"no piece covers {alpha}")
 
 
-def _word_at(word: Tuple[Value, ...], n: int) -> Value:
-    return word[(n - 1) % len(word)]
-
-
 def _block_windows(pieces: Sequence[Piece], beta: Ordinal, upto: Optional[int]):
     """Successor values of block beta as (explicit prefix values, tail word).
 
     With upto=None the block is full: the returned tail is the word of the
     piece that runs to the block's end (tail values follow the global n-index
     formula).  With a finite upto only positions n in [1, upto) exist and the
-    tail is None.
+    tail is None.  The pieces are sorted; one pass reads their nat parts.
     """
     start = Ordinal.block_start(beta)
     end = Ordinal.block_start(beta.succ())
-    vals = []
+    vals: list = []
     n = 1
-    while upto is None or n < upto:
-        p = _piece_at(pieces, start + n)
+    for p in pieces:
+        if p.hi <= start:
+            continue
         if upto is None and not p.hi < end:
             return vals, p.word  # piece covers the rest of the block
         stop = p.hi.nat_part() if p.hi < end else upto
-        stop = stop if upto is None else min(stop, upto)
+        if upto is not None:
+            stop = min(stop, upto)
+        word = p.word
         while n < stop:
-            vals.append(_word_at(p.word, n))
+            vals.append(word[(n - 1) % len(word)])
             n += 1
+        if n == upto:
+            break
     return vals, None
 
 
@@ -261,27 +267,36 @@ def _describe(bound: Ordinal, pieces: Tuple[Piece, ...]) -> _Description:
     return _Description(bound, tuple(merged), partial)
 
 
+def _block_pieces(start: Ordinal, end: Ordinal, content: _Content) -> list:
+    """Canonical pieces of [start, end) with this block content: one run piece
+    when there is no prefix, else (one block) the prefix piece and the root
+    piece."""
+    lv, prefix, root = content
+    if not prefix:
+        return [Piece(start, end, lv, root)]
+    mid = start + (len(prefix) + 1)
+    return [Piece(start, mid, lv, _window_word(prefix)), Piece(mid, end, root[0], root)]
+
+
+def _partial_piece(start: Ordinal, end: Ordinal, lv: Value, vals: Sequence[Value]) -> Piece:
+    """The canonical piece of a partial block [start, end)."""
+    return Piece(start, end, lv, _window_word(vals) or (lv,))
+
+
 def _rebuild(desc: _Description) -> PatternMap:
+    start = Ordinal.block_start
     out = []
     for run in desc.runs:
-        lv, prefix, root = run.content
-        lo_pos = Ordinal.block_start(run.lo)
-        hi_pos = Ordinal.block_start(run.hi)
-        if not prefix:
-            out.append(Piece(lo_pos, hi_pos, lv, root))
+        if not run.content[1]:
+            out += _block_pieces(start(run.lo), start(run.hi), run.content)
             continue
         span = run.lo.left_sub(run.hi)
         for k in range(span.to_nat()):  # prefix runs are finitely many cut blocks
             beta = run.lo + k
-            start = Ordinal.block_start(beta)
-            mid = start + (len(prefix) + 1)
-            out.append(Piece(start, mid, lv, _window_word(prefix)))
-            out.append(Piece(mid, Ordinal.block_start(beta.succ()), root[0], root))
+            out += _block_pieces(start(beta), start(beta.succ()), run.content)
     if desc.partial is not None:
         lv, vals = desc.partial
-        start = Ordinal.block_start(desc.bound.block_index())
-        word = _window_word(vals) if vals else (lv,)
-        out.append(Piece(start, desc.bound, lv, word))
+        out.append(_partial_piece(start(desc.bound.block_index()), desc.bound, lv, vals))
     return PatternMap(desc.bound, tuple(out), _canonical=True)
 
 
@@ -352,7 +367,7 @@ def pm_restrict(m: PatternMap, a: Ordinal) -> PatternMap:
     if n:
         lv = _piece_at(m.pieces, cut).limit_value
         vals, _ = _block_windows(m.pieces, cut.block_index(), n)
-        out.append(Piece(cut, a, lv, _window_word(vals) or (lv,)))
+        out.append(_partial_piece(cut, a, lv, vals))
     return PatternMap(a, tuple(out), _canonical=True)
 
 
@@ -362,6 +377,8 @@ def pm_splice(m: PatternMap, at: Ordinal, head: PatternMap) -> PatternMap:
         raise PatternError("splice bounds disagree")
     if at == m.bound:
         return head
+    if at.is_nat():
+        return pm_write_finite(m, pm_head(head, at.nat_part()))
     tail = []
     for p in m.pieces:
         if p.hi <= at:
@@ -384,18 +401,47 @@ def pm_head(m: PatternMap, k: int) -> Tuple[Value, ...]:
     return tuple(vals)
 
 
+def pm_from_values(values: Sequence[Value]) -> PatternMap:
+    """The map on [0, len(values)) with these values: one partial piece."""
+    dom = Ordinal.from_nat(len(values))
+    if not values:
+        return PatternMap(dom, (), _canonical=True)
+    return PatternMap(dom, (_partial_piece(ZERO, dom, values[0], values[1:]),), _canonical=True)
+
+
 def pm_write_finite(m: PatternMap, values: Sequence[Value]) -> PatternMap:
-    """Overwrite positions 0..len(values)-1 with the given values."""
+    """Overwrite positions 0..len(values)-1 with the given values.
+
+    Only block 0 changes, so only its canonical pieces are rebuilt, from the
+    written values and m's own values and tail word there.  m's pieces from
+    w up are kept, the one crossing w (a run with no prefix) starting at w;
+    a block 0 with no prefix joins the run at w when their contents agree.
+    """
     k = len(values)
     if k == 0:
         return m
-    if not Ordinal.from_nat(k) <= m.bound:
+    bound = m.bound
+    if not Ordinal.from_nat(k) <= bound:
         raise PatternError("finite write exceeds domain")
-    head_pieces = [Piece(ZERO, ONE, values[0], (values[0],))]
-    if k > 1:
-        head_pieces.append(Piece(ONE, Ordinal.from_nat(k), values[0], tuple(values[1:])))
-    head = PatternMap.build(Ordinal.from_nat(k), head_pieces)
-    return pm_splice(m, Ordinal.from_nat(k), head)
+    old, tail = _block_windows(m.pieces, ZERO, bound.nat_part() if bound.is_nat() else None)
+    vals = list(values[1:]) + old[k - 1:]
+    if tail is None:  # a finite bound
+        return pm_from_values([values[0]] + vals)
+    lv, prefix, root = content = _normal_content(values[0], vals, tail)
+    rest = [
+        p if OMEGA <= p.lo else Piece(OMEGA, p.hi, p.limit_value, p.word)
+        for p in m.pieces
+        if OMEGA < p.hi
+    ]
+    if (
+        not prefix
+        and rest
+        and rest[0].hi.nat_part() == 0  # a run piece, not a prefix or partial piece
+        and (rest[0].limit_value, rest[0].word) == (lv, root)
+    ):
+        rest[0] = Piece(ZERO, rest[0].hi, rest[0].limit_value, rest[0].word)
+        return PatternMap(bound, tuple(rest), _canonical=True)
+    return PatternMap(bound, tuple(_block_pieces(ZERO, OMEGA, content) + rest), _canonical=True)
 
 
 # ---------------------------------------------------------------------------

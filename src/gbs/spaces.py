@@ -25,6 +25,7 @@ from .patterns import (
     PatternMap,
     Piece,
     pm_eval,
+    pm_from_values,
     pm_head,
     pm_map,
     pm_restrict,
@@ -296,13 +297,7 @@ class FiniteWord(Point):
 
 
 def word_from_bits(values: Sequence[int]) -> FiniteWord:
-    k = len(values)
-    if k == 0:
-        return FiniteWord(PatternMap.build(ZERO, []))
-    pieces = [Piece(ZERO, nat(1), values[0], (values[0],))]
-    if k > 1:
-        pieces.append(Piece(nat(1), nat(k), 0, tuple(values[1:])))
-    return FiniteWord(PatternMap.build(nat(k), pieces))
+    return FiniteWord(pm_from_values(values))
 
 
 def word_values(w: FiniteWord) -> Tuple[int, ...]:

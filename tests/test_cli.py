@@ -146,6 +146,19 @@ def test_check_reduction_raising_map_exits_2(capsys, tmp_path):
     assert err.startswith("gbs: pair 1 raised under e0-to-idplus")
 
 
+def test_check_reduction_approximation_level_above_lambda_exits_2(capsys, tmp_path):
+    doc = tmp_path / "level.gbs"
+    doc.write_text(
+        "(reduction (source (e1-approx w^3)) (target (e0 ords)) (map e1-to-e0) (pairs (sampled 4)))\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "check-reduction", doc, "--json")
+    assert code == 2
+    j = json.loads(out)
+    assert (j["verdict"], j["checked"]) == ("inputError", 0)
+    assert err == "gbs: approximation level w^3 of the source relation exceeds lambda w^2\n"
+
+
 def test_check_reduction_rejects_unchecked_lambda(capsys):
     # the pair generators draw below w^2, so no other bound may be reported
     code, out, err = run(capsys, "--lambda", "w^3", "check-reduction", SPECS / "e1-to-e0.gbs", "--json")

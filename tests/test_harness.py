@@ -7,9 +7,10 @@ import pytest
 import _specgen as sg
 from gbs.config import WorkbenchConfig
 from gbs.groups import GroupAction, PermuteCoords, cyclic_group, symmetric_group
+from gbs import harness
 from gbs.harness import GenPolicy, HarnessError, ReductionSpec, verify_orbit, verify_reduction
-from gbs.ordinals import OMEGA, OMEGA_SQ, nat
-from gbs.relations import decide, rel_e0, rel_e1, rel_id, rel_idplus
+from gbs.ordinals import OMEGA, OMEGA_SQ, Ordinal, nat
+from gbs.relations import RelationError, decide, rel_e0, rel_e1, rel_e1_approx, rel_id, rel_idplus
 from gbs.spaces import BITS, ORDS, Bits, zeros
 
 FAST = WorkbenchConfig(word_bound=nat(3), sample_count=12, seed=0xBEEF)
@@ -138,6 +139,49 @@ def test_raising_map_is_input_error():
     assert r.counterexample is None
     assert "pair 1 raised under e0-to-idplus" in r.detail
     assert "exceeds the bound 6" in r.detail
+
+
+def test_approximation_level_above_lambda_is_input_error(monkeypatch):
+    # rejected when the spec is resolved against the run's lambda, before any pair is drawn
+    monkeypatch.setattr(harness, "_generate", lambda *a: pytest.fail("pairs were drawn"))
+    w3 = Ordinal(((3, 1),))
+    policy = GenPolicy("sampled", n=4)
+    for spec, side in (
+        (ReductionSpec(rel_e1_approx(w3), rel_e0(ORDS), "e1-to-e0", (), policy), "source"),
+        (ReductionSpec(rel_e0(), rel_e1_approx(w3), "e0-to-e1", (), policy), "target"),
+    ):
+        r = verify_reduction(spec, FAST)
+        assert (r.verdict, r.checked, r.failed) == ("inputError", 0, 0)
+        assert r.detail == f"approximation level w^3 of the {side} relation exceeds lambda w^2"
+
+
+def test_approximation_level_at_lambda_is_checked():
+    spec = ReductionSpec(rel_e0(), rel_e1_approx(OMEGA_SQ), "e0-to-e1", (), GenPolicy("sampled", n=6))
+    r = verify_reduction(spec, FAST)
+    assert (r.verdict, r.checked) == ("pass", 6)
+
+
+def _raising_decider(monkeypatch, culprit):
+    real = harness.decide
+
+    def fake(rel, x, y):
+        if rel == culprit:
+            raise RelationError("boom")
+        return real(rel, x, y)
+
+    monkeypatch.setattr(harness, "decide", fake)
+
+
+@pytest.mark.parametrize(
+    "side, stage",
+    [("source", "in the source decider e0 on bits"), ("target", "in the target decider e1 on family(bits)")],
+)
+def test_a_raising_decider_is_blamed_not_the_map(monkeypatch, side, stage):
+    spec = spec_for("e0-to-e1", GenPolicy("sampled", n=5))
+    _raising_decider(monkeypatch, getattr(spec, side))
+    r = verify_reduction(spec, FAST)
+    assert (r.verdict, r.checked, r.failed) == ("inputError", 0, 0)
+    assert r.detail == f"pair 1 raised {stage}: boom"
 
 
 def test_unknown_map_rejected_at_construction():

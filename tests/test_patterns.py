@@ -33,6 +33,7 @@ from gbs.patterns import (
     pm_write_finite,
     pm_zip,
 )
+from gbs.spaces import word_from_bits, word_values
 
 L = OMEGA_SQ
 
@@ -442,22 +443,30 @@ FAST_BOUNDS = [
     OMEGA_CUBE,
     OMEGA_CUBE + omega_times(2),
 ]
+# the finite writes also meet w+n and w^2+w*2 as bounds
+WRITE_BOUNDS = FAST_BOUNDS + [nat(1), OMEGA + 2, L + omega_times(2)]
 # positions below each bound with every CNF coefficient <= 3, zero excluded
-FAST_GRID = {b: [o for o in iter_below(b, 3) if not o.is_zero()] for b in FAST_BOUNDS}
+FAST_GRID = {b: [o for o in iter_below(b, 3) if not o.is_zero()] for b in WRITE_BOUNDS}
 PROPS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
-def canonical_maps(draw, alphabet=(0, 1, 2)):
-    bound = draw(st.sampled_from(FAST_BOUNDS))
-    cuts = draw(st.sets(st.sampled_from(FAST_GRID[bound]), max_size=5))
+def raw_pieces(draw, bounds=FAST_BOUNDS, alphabet=(0, 1, 2)):
+    """(bound, raw piece list) with cuts anywhere on the coefficient-3 grid."""
+    bound = draw(st.sampled_from(bounds))
+    grid = FAST_GRID[bound]
+    cuts = draw(st.sets(st.sampled_from(grid), max_size=5)) if grid else set()
     edges = [ZERO] + sorted(cuts, key=lambda o: o.terms) + [bound]
     raw = []
     for lo, hi in zip(edges, edges[1:]):
         lv = draw(st.sampled_from(alphabet))
         word = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=3))
         raw.append((lo, hi, lv, tuple(word)))
-    return PatternMap.build(bound, raw)
+    return bound, raw
+
+
+def canonical_maps(alphabet=(0, 1, 2)):
+    return raw_pieces(alphabet=alphabet).map(lambda br: PatternMap.build(*br))
 
 
 def restrict_by_build(m, a):
@@ -536,3 +545,116 @@ def test_head_matches_eval(m, data):
     if m.bound.is_nat():
         with pytest.raises(PatternError):
             pm_head(m, top + 1)
+
+
+# --- build-free finite writes against PatternMap.build ----------------------------
+# pm_write_finite rebuilds block 0 only, pm_splice at a natural cut is such a
+# write, and word_from_bits makes its one piece directly; each is compared with
+# the build of the written raw pieces, on bounds from 1 to w^3 and cuts at
+# non-natural block indices (w^2+w*j+n).
+
+
+def written_raw(raw, head_raw, k):
+    """head_raw on [0, k), then raw's pieces cut to start at k."""
+    kk = nat(k)
+    tail = [(ord_max(lo, kk), hi, lv, word) for lo, hi, lv, word in raw if kk < hi]
+    return head_raw + tail
+
+
+def head_pieces(values):
+    k = len(values)
+    head = [(ZERO, ONE, values[0], (values[0],))]
+    if k > 1:
+        head.append((ONE, nat(k), 0, tuple(values[1:])))
+    return head
+
+
+@PROPS
+@given(br=raw_pieces(bounds=WRITE_BOUNDS, alphabet=(0, 1)), data=st.data())
+def test_write_finite_matches_build(br, data):
+    bound, raw = br
+    m = PatternMap.build(bound, raw)
+    top = bound.to_nat() if bound.is_nat() else 12
+    values = data.draw(st.lists(st.sampled_from((0, 1)), min_size=1, max_size=top))
+    if not bound.is_nat() and data.draw(st.booleans()):
+        # successor values that follow block 0's tail (raw words have at most
+        # 3 letters and cuts nat parts at most 3): the written block has no
+        # prefix and may join the run at w
+        values[1:] = [pm_eval(m, nat(n + 12)) for n in range(1, len(values))]
+    w = pm_write_finite(m, values)
+    want = PatternMap.build(bound, written_raw(raw, head_pieces(values), len(values)))
+    assert (w.bound, w.pieces) == (want.bound, want.pieces)
+
+
+@PROPS
+@given(br=raw_pieces(bounds=WRITE_BOUNDS, alphabet=(0, 1)), data=st.data())
+def test_splice_at_a_natural_cut_matches_build(br, data):
+    bound, raw = br
+    m = PatternMap.build(bound, raw)
+    k = data.draw(st.integers(0, bound.to_nat() if bound.is_nat() else 12))
+    head_raw = []
+    if k:
+        cuts = data.draw(st.sets(st.integers(1, k), max_size=3)) - {k}
+        edges = [0] + sorted(cuts) + [k]
+        for lo, hi in zip(edges, edges[1:]):
+            lv = data.draw(st.sampled_from((0, 1, 2)))
+            word = data.draw(st.lists(st.sampled_from((0, 1, 2)), min_size=1, max_size=3))
+            head_raw.append((nat(lo), nat(hi), lv, tuple(word)))
+    s = pm_splice(m, nat(k), PatternMap.build(nat(k), head_raw))
+    want = PatternMap.build(bound, written_raw(raw, head_raw, k))
+    assert (s.bound, s.pieces) == (want.bound, want.pieces)
+
+
+@PROPS
+@given(values=st.lists(st.sampled_from((0, 1)), max_size=12))
+def test_word_from_bits_matches_build(values):
+    w = word_from_bits(values)
+    want = PatternMap.build(nat(len(values)), head_pieces(values) if values else [])
+    assert (w.bits.bound, w.bits.pieces) == (want.bound, want.pieces)
+    assert word_values(w) == tuple(values)
+    # the word is the shortest that repeats the successor values
+    succ = values[1:]
+    if succ:
+        periods = range(1, len(succ) + 1)
+        period = min(p for p in periods if all(v == succ[i % p] for i, v in enumerate(succ)))
+        assert w.bits.pieces[0].word == tuple(succ[:period])
+
+
+@PROPS
+@given(br=raw_pieces(bounds=WRITE_BOUNDS), data=st.data())
+def test_build_matches_refined_build_and_raw_values(br, data):
+    bound, raw = br
+    m = PatternMap.build(bound, raw)
+    # splitting pieces anywhere leaves the function, so the build, unchanged
+    grid = FAST_GRID[bound]
+    splits = data.draw(st.sets(st.sampled_from(grid), max_size=4)) if grid else set()
+    refined = []
+    for lo, hi, lv, word in raw:
+        mids = sorted((o for o in splits if lo < o and o < hi), key=lambda o: o.terms)
+        edges = [lo] + mids + [hi]
+        refined += [(a, b, lv, word) for a, b in zip(edges, edges[1:])]
+    assert PatternMap.build(bound, refined).pieces == m.pieces
+    assert PatternMap.build(bound, m.pieces).pieces == m.pieces
+    for a in probe_grid(bound, m):
+        assert pm_eval(m, a) == eval_raw(raw, a)
+
+
+def test_write_finite_joins_only_a_run_at_omega():
+    # block 0 becomes lim 0, all ones; at w sits a run, a prefix piece or a
+    # partial piece with that same limit value and word
+    w2 = omega_times(2)
+    cases = [
+        ((w2, [(ZERO, OMEGA, 1, (1,)), (OMEGA, w2, 0, (1,))]), [(ZERO, w2, 0, (1,))]),
+        (
+            (w2, [(ZERO, OMEGA, 1, (1,)), (OMEGA, OMEGA + 2, 0, (1,)), (OMEGA + 2, w2, 0, (0,))]),
+            [(ZERO, OMEGA, 0, (1,)), (OMEGA, OMEGA + 2, 0, (1,)), (OMEGA + 2, w2, 0, (0,))],
+        ),
+        (
+            (OMEGA + 3, [(ZERO, OMEGA, 1, (1,)), (OMEGA, OMEGA + 3, 0, (1,))]),
+            [(ZERO, OMEGA, 0, (1,)), (OMEGA, OMEGA + 3, 0, (1,))],
+        ),
+    ]
+    for (bound, raw), pieces in cases:
+        w = pm_write_finite(PatternMap.build(bound, raw), [0])
+        assert w.pieces == tuple(Piece(*p) for p in pieces)
+        assert w == PatternMap.build(bound, written_raw(raw, head_pieces([0]), 1))
