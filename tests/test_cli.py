@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -281,6 +282,32 @@ def test_jump_tower_budget_cap(capsys):
     code, _, err = run(capsys, "jump-tower", "5")
     assert code == 2
     assert "desk-scale budget" in err
+
+
+# ---------------------------------------------------------------------------
+# pinned reports
+# ---------------------------------------------------------------------------
+
+# crc32 of "<exit>|<--json report without elapsedMs>|<stderr>" per command,
+# document and seed
+REPORT_PINS = {
+    ("check-reduction", "e1-to-e0.gbs", 0): 0xA8DDAD87,
+    ("check-reduction", "e1-to-e0.gbs", 7): 0x49990B14,
+    ("check-reduction", "mutants/e1-to-e0-wrong-target.gbs", 0): 0x60A725FF,
+    ("check-reduction", "mutants/e1-to-e0-wrong-target.gbs", 7): 0xB096075A,
+    ("orbit-e0", "orbit-z4.gbs", 0): 0x1470BF74,
+    ("orbit-e0", "orbit-z4.gbs", 7): 0xF53419E7,
+}
+
+
+def test_e1_to_e0_and_orbit_reports_are_pinned(capsys):
+    got = {}
+    for command, doc, seed in REPORT_PINS:
+        code, out, err = run(capsys, command, SPECS / doc, "--seed", seed, "--json")
+        report = json.loads(out)
+        del report["elapsedMs"]
+        got[command, doc, seed] = zlib.crc32(f"{code}|{json.dumps(report)}|{err}".encode())
+    assert got == REPORT_PINS
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import random
+import zlib
 
 import pytest
 
-from gbs.generators import equivalent_pair, gen_bits, inequivalent_pair
-from gbs.ordinals import OMEGA, OMEGA_SQ, ZERO, nat, omega_times
+from gbs.generators import equivalent_pair, gen_bits, gen_family, inequivalent_pair
+from gbs.ordinals import OMEGA, OMEGA_SQ, ZERO, Ordinal, nat, omega_times
 from gbs.patterns import PatternMap, pm_eval, pm_support_analysis, pm_write_finite
 from gbs.reductions import (
     ReductionError,
@@ -15,6 +16,7 @@ from gbs.reductions import (
 )
 from gbs.relations import decide_E0, decide_E1, decide_idplus, rel_e1
 from gbs.spaces import (
+    BITS,
     Bits,
     Family,
     SpaceError,
@@ -120,6 +122,36 @@ def test_e1_to_e0_output_shape():
 def test_e1_to_e0_space_mismatch():
     with pytest.raises(SpaceError):
         red_E1_to_E0(pt(1, 0))
+
+
+# crc32 of the serials of red_E1_to_E0 on 100 generated families per bound,
+# from Random(4310) at each; a raised error counts as its
+# "<type>: <message>" line.  At w*3 and w*7 most families raise, because the
+# grid would need a level at or past the bound.
+E1_TO_E0_PINS = {
+    "w*3": 0x36B1E415,
+    "w*7": 0x4FE5C91F,
+    "w^2": 0x4FB0A143,
+    "w^3": 0xD6EC8171,
+    "w^2*2+w*3": 0x6A709188,
+}
+PIN_BOUNDS = [omega_times(3), omega_times(7), L, Ordinal([(3, 1)]), Ordinal([(2, 2), (1, 3)])]
+
+
+def _map_or_error(x) -> str:
+    try:
+        return red_E1_to_E0(x).serial()
+    except (ValueError, TypeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_e1_to_e0_outputs_are_pinned():
+    got = {}
+    for bound in PIN_BOUNDS:
+        rng = random.Random(4310)
+        outs = [_map_or_error(gen_family(rng, BITS, bound)) for _ in range(100)]
+        got[str(bound)] = zlib.crc32("\n".join(outs).encode())
+    assert got == E1_TO_E0_PINS
 
 
 # ---------------------------------------------------------------------------
