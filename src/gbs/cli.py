@@ -195,11 +195,14 @@ def _cmd_orbit(args, cfg: WorkbenchConfig) -> int:
 
 
 def _cmd_jump_tower(args, cfg: WorkbenchConfig) -> int:
-    if not 0 <= args.level <= 2:
+    if args.level < 0:
+        return _fail(f"tower level {args.level} is negative")
+    if args.level > 2:
         return _fail("tower levels above 2 exceed the desk-scale budget")
+    if not cfg.word_bound.is_nat():
+        return _fail(f"the jump tower needs a finite word bound, not {cfg.word_bound}")
     t0 = time.perf_counter()
-    word_bound = cfg.word_bound.to_nat() if cfg.word_bound.is_nat() else 4
-    code = code_id(word_bound=word_bound)
+    code = code_id(word_bound=cfg.word_bound.to_nat())
     rows = []
     budget = min(cfg.sample_count, 20)
     for lv in range(args.level + 1):

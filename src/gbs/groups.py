@@ -21,7 +21,7 @@ from itertools import permutations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .ordinals import Ordinal, nat, omega_times
-from .patterns import pm_eval, pm_write_finite
+from .patterns import pm_eval, pm_head, pm_write_finite
 from .spaces import (
     Bits,
     FiniteWord,
@@ -31,8 +31,8 @@ from .spaces import (
     grid_ordvals,
     iter_words,
     point_code,
-    starts_with,
     word_from_bits,
+    word_values,
     xor_prefix,
 )
 
@@ -313,10 +313,13 @@ Trace = Tuple[frozenset, ...]
 
 @lru_cache(maxsize=512)
 def _trace_sets(act: GroupAction, enum: CylinderEnumeration, x: Bits) -> Trace:
-    moved = {g: act.apply(g, x) for g in act.group.elements()}
-    return tuple(
-        frozenset(g for g, gx in moved.items() if starts_with(gx, w)) for w in enum.words
-    )
+    """g is in the set of word w iff g.x starts with w: each moved point's
+    head is read once, to the longest word's length (below the separation
+    cut that `red_ac1` has already restricted to), and compared by prefix."""
+    words = [word_values(w) for w in enum.words]
+    k = max(map(len, words), default=0)
+    heads = {g: pm_head(act.apply(g, x).seq, k) for g in act.group.elements()}
+    return tuple(frozenset(g for g, h in heads.items() if h[: len(v)] == v) for v in words)
 
 
 def red_ac1(act: GroupAction, enum: CylinderEnumeration, x: Bits) -> Trace:

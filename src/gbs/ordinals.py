@@ -126,19 +126,25 @@ class Ordinal(tuple):
     # -- rendering --------------------------------------------------------
 
     def __str__(self) -> str:
-        if not len(self):
-            return "0"
-        parts = []
-        for e, c in self:
-            if e == 0:
-                parts.append(str(c))
-            else:
-                base = "w" if e == 1 else f"w^{e}"
-                parts.append(base if c == 1 else f"{base}*{c}")
-        return "+".join(parts)
+        return _text(self)
 
     def __repr__(self) -> str:
         return f"Ordinal[{self}]"
+
+
+# serials render the same few ordinals over and over, so each text is kept
+@functools.lru_cache(maxsize=8192)
+def _text(o: Ordinal) -> str:
+    if not len(o):
+        return "0"
+    parts = []
+    for e, c in o:
+        if e == 0:
+            parts.append(str(c))
+        else:
+            base = "w" if e == 1 else f"w^{e}"
+            parts.append(base if c == 1 else f"{base}*{c}")
+    return "+".join(parts)
 
 
 def _coerce(x: "Ordinal | int") -> Ordinal:

@@ -79,7 +79,7 @@ def _window_word(vals: Sequence[Value]) -> Tuple[Value, ...]:
 
 
 class PatternMap:
-    __slots__ = ("bound", "pieces", "_hash")
+    __slots__ = ("bound", "pieces", "_hash", "_open")
 
     def __init__(self, bound: Ordinal, pieces: Tuple[Piece, ...], _canonical: bool = False):
         if not _canonical:
@@ -137,6 +137,29 @@ class PatternMap:
             f"[{p.lo},{p.hi}) lim={p.limit_value} word={list(p.word)}" for p in self.pieces
         )
         return f"PatternMap<{body}>"
+
+
+def _render(m: PatternMap, open_ended: bool) -> str:
+    out = []
+    last = len(m.pieces) - 1
+    for i, p in enumerate(m.pieces):
+        hi = "" if (open_ended and i == last) else str(p.hi)
+        word = ",".join(map(str, p.word))
+        out.append(f"{p.limit_value}:{word}@{p.lo}..{hi}")
+    return ";".join(out)
+
+
+def pm_serial(m: PatternMap, open_ended: bool = False) -> str:
+    """The pieces as `lv:word@lo..hi`, joined by `;`; open-ended leaves out
+    the final piece's hi.  The open-ended serial is the canonical key of
+    every point built on m, so it is rendered on first use and kept."""
+    if not open_ended:
+        return _render(m, False)
+    try:
+        return m._open
+    except AttributeError:
+        m._open = _render(m, True)
+        return m._open
 
 
 def pm_eval(m: PatternMap, alpha: Ordinal) -> Value:

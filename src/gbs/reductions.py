@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .ordinals import ZERO, nat, omega_times
-from .patterns import PatternMap, pm_eval, pm_write_finite
+from .patterns import PatternMap, Piece, pm_eval, pm_restrict, pm_write_finite
 from .spaces import (
     BITS,
     Bits,
@@ -32,30 +32,31 @@ class ReductionError(ValueError):
     pass
 
 
-def _tail_class_rep(xa: Family, q: int) -> Family:
-    """Canonical member of the tail class of a level-w*q restriction.
-
-    The class is determined by the eventual successor content of the last
-    block; the representative additionally pins the value at the block start,
-    which is what separates pairs whose disagreements sit only on the limits.
-    Both data come straight off the final piece of the canonical assignment.
-    """
-    final = xa.assignment.pieces[-1]
-    anchor = pm_eval(xa.assignment, omega_times(q - 1))
-    asg = PatternMap.build(xa.bound, [(ZERO, xa.bound, anchor, final.word)])
-    return Family(xa.components, asg)
-
-
 def red_E1_to_E0(x: Family) -> Ords:
     """Tail-class codes on the grid: 0 off the limits, at w*q the registry
     code of the class of the restriction.  Bounded disagreement of families
-    becomes bounded disagreement of the codes and conversely."""
+    becomes bounded disagreement of the codes and conversely.
+
+    The class of the level-w*q restriction is determined by the eventual
+    successor content of the last block; its representative also pins the
+    value at the block start, which is what separates pairs whose
+    disagreements sit only on the limits.  Both come straight off the final
+    piece of the restricted assignment (a run or root piece, so its word is
+    a minimal root), and only the components they name are restricted.
+    """
     validate_point(x, FamilyOf(BITS))
     top = max(x.stab_block(), 2)
     vals = [0]
     for q in range(1, top + 1):
-        xa = x.restrict(omega_times(q))
-        vals.append(point_code(_tail_class_rep(xa, q)))
+        a = omega_times(q)
+        asg = pm_restrict(x.assignment, a)
+        anchor = pm_eval(asg, omega_times(q - 1))
+        word = asg.pieces[-1].word
+        refs = sorted({anchor, *word})
+        local = {i: j for j, i in enumerate(refs)}
+        tail = Piece(ZERO, a, local[anchor], tuple(local[i] for i in word))
+        comps = [x.components[i].restrict(a) for i in refs]
+        vals.append(point_code(Family(comps, PatternMap(a, (tail,), _canonical=True))))
     return grid_ordvals(x.bound, vals)
 
 

@@ -29,6 +29,7 @@ from .patterns import (
     pm_head,
     pm_map,
     pm_restrict,
+    pm_serial,
     pm_splice,
     pm_value_set,
     pm_write_finite,
@@ -150,7 +151,7 @@ class SeqPoint(Point):
         return self.seq.bound
 
     def serial(self, open_ended: bool = False) -> str:
-        return self.letter + "{" + _pm_serial(self.seq, open_ended) + "}"
+        return self.letter + "{" + pm_serial(self.seq, open_ended) + "}"
 
     def at(self, a: Ordinal):
         return pm_eval(self.seq, a)
@@ -222,7 +223,7 @@ class Family(Point):
 
     def serial(self, open_ended: bool = False) -> str:
         comps = "&".join(c.serial(open_ended) for c in self.components)
-        return "F{" + comps + "|" + _pm_serial(self.assignment, open_ended) + "}"
+        return "F{" + comps + "|" + pm_serial(self.assignment, open_ended) + "}"
 
     def at(self, a: Ordinal) -> Point:
         return self.components[pm_eval(self.assignment, a)]
@@ -290,7 +291,7 @@ class FiniteWord(Point):
     bound = dom
 
     def serial(self, open_ended: bool = False) -> str:
-        return "W{" + _pm_serial(self.bits, False) + "}"
+        return "W{" + pm_serial(self.bits, False) + "}"
 
     def restrict(self, a: Ordinal) -> "FiniteWord":
         return FiniteWord(pm_restrict(self.bits, a))
@@ -315,16 +316,6 @@ def iter_words(max_dom: int) -> Iterable[FiniteWord]:
 # ---------------------------------------------------------------------------
 # serialization and the canonical order
 # ---------------------------------------------------------------------------
-
-
-def _pm_serial(m: PatternMap, open_ended: bool) -> str:
-    out = []
-    last = len(m.pieces) - 1
-    for i, p in enumerate(m.pieces):
-        hi = "" if (open_ended and i == last) else str(p.hi)
-        word = ",".join(map(str, p.word))
-        out.append(f"{p.limit_value}:{word}@{p.lo}..{hi}")
-    return ";".join(out)
 
 
 def canonical_key(p: Point) -> str:

@@ -284,6 +284,20 @@ def test_jump_tower_budget_cap(capsys):
     assert "desk-scale budget" in err
 
 
+def test_jump_tower_negative_level(capsys):
+    code, out, err = run(capsys, "jump-tower", "-1")
+    assert (code, out, err) == (2, "", "gbs: tower level -1 is negative\n")
+
+
+def test_jump_tower_rejects_a_transfinite_word_bound(capsys, tmp_path):
+    # the word bound was silently replaced by 4 before
+    cfg = tmp_path / "gbs.ini"
+    cfg.write_text("[workbench]\nword-bound = w*2\n")
+    code, out, err = run(capsys, "jump-tower", "1", "--config", cfg)
+    assert (code, out) == (2, "")
+    assert err == "gbs: the jump tower needs a finite word bound, not w*2\n"
+
+
 # ---------------------------------------------------------------------------
 # pinned reports
 # ---------------------------------------------------------------------------

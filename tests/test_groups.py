@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gbs.groups import (
     ChainSchedule,
@@ -28,7 +29,7 @@ from gbs.groups import (
 from gbs.ordinals import OMEGA, OMEGA_SQ, ZERO, nat, omega_times
 from gbs.patterns import PatternMap, pm_eval, pm_write_finite
 from gbs.relations import decide, rel_e0
-from gbs.spaces import ORDS, Bits, word_values, zeros
+from gbs.spaces import ORDS, Bits, iter_words, starts_with, word_values, zeros
 
 L = OMEGA_SQ
 E0_ORDS = rel_e0(ORDS)
@@ -195,6 +196,60 @@ def test_ac1_criterion_matches_orbits_exhaustively():
         for i, a in enumerate(pts):
             for b in pts[i:]:
                 assert ac1_criterion(act, enum, a, b) == orbit_decide(act, a, b)
+
+
+# The trace reads each moved point's head once and compares prefixes; the old
+# definition, kept as the oracle, asked starts_with for every (word, element).
+
+
+def trace_by_starts_with(act, enum, x):
+    return tuple(
+        frozenset(g for g in act.group.elements() if starts_with(act.apply(g, x), w))
+        for w in enum.words
+    )
+
+
+ACTIONS = [
+    FLIP0,
+    ROT4,
+    PERM3,
+    GroupAction(Z2, XorMasks(((0, 0, 0), (1, 0, 1)), 3)),
+    GroupAction(Z2, XorMasks(((0, 0, 0, 0, 0), (0, 0, 0, 0, 1)), 5)),
+]
+CUTS = [nat(n) for n in range(1, 9)] + [OMEGA, omega_times(2, 3)]
+
+
+@st.composite
+def bit_points(draw):
+    cuts = draw(st.sets(st.sampled_from(CUTS), max_size=4))
+    edges = [ZERO] + sorted(cuts) + [L]
+    bit = st.sampled_from((0, 1))
+    raw = [
+        (lo, hi, draw(bit), tuple(draw(st.lists(bit, min_size=1, max_size=3))))
+        for lo, hi in zip(edges, edges[1:])
+    ]
+    return Bits(PatternMap.build(L, raw))
+
+
+@st.composite
+def enumerations(draw, k):
+    """A cylinder enumeration separating orbits of an action on k coordinates:
+    some words of dom < delta in any order, one of them as long as delta - 1."""
+    delta = draw(st.integers(k + 1, 7))
+    words = list(iter_words(delta))
+    longest = draw(st.sampled_from([w for w in words if w.dom == nat(delta - 1)]))
+    rest = draw(st.lists(st.sampled_from(words), unique=True, max_size=12))
+    chosen = [longest] + [w for w in rest if w != longest]
+    return CylinderEnumeration(tuple(draw(st.permutations(chosen))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), x=bit_points())
+def test_trace_matches_starts_with(data, x):
+    act = data.draw(st.sampled_from(ACTIONS))
+    enum = data.draw(enumerations(act.rule.k))
+    assert enum.delta - 1 == max(len(word_values(w)) for w in enum.words)
+    assert red_ac1(act, enum, x) == trace_by_starts_with(act, enum, x)
 
 
 # --- chain schedules and the selector ----------------------------------------------

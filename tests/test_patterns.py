@@ -26,6 +26,7 @@ from gbs.patterns import (
     pm_head,
     pm_map,
     pm_restrict,
+    pm_serial,
     pm_splice,
     pm_support_analysis,
     pm_value_census,
@@ -658,3 +659,49 @@ def test_write_finite_joins_only_a_run_at_omega():
         w = pm_write_finite(PatternMap.build(bound, raw), [0])
         assert w.pieces == tuple(Piece(*p) for p in pieces)
         assert w == PatternMap.build(bound, written_raw(raw, head_pieces([0]), 1))
+
+
+# --- the kept open serial ----------------------------------------------------
+# pm_serial keeps the open-ended serial (every point key is built on it) in
+# the map and renders it once; ordinals keep their text in a bounded cache.
+# Both are checked against the rendering written out from its definition.
+
+
+def text_by_definition(v) -> str:
+    if not isinstance(v, Ordinal):
+        return str(v)
+    if v.is_zero():
+        return "0"
+    parts = []
+    for e, c in v.terms:
+        if e == 0:
+            parts.append(str(c))
+        else:
+            base = "w" if e == 1 else f"w^{e}"
+            parts.append(base if c == 1 else f"{base}*{c}")
+    return "+".join(parts)
+
+
+def serial_by_definition(m: PatternMap, open_ended: bool) -> str:
+    t = text_by_definition
+    last = len(m.pieces) - 1
+    return ";".join(
+        f"{t(p.limit_value)}:{','.join(map(t, p.word))}@{t(p.lo)}.."
+        + ("" if open_ended and i == last else t(p.hi))
+        for i, p in enumerate(m.pieces)
+    )
+
+
+ORD_ALPHABET = (nat(0), nat(3), OMEGA, omega_times(2, 1), L)
+
+
+@PROPS
+@given(br=st.one_of(raw_pieces(), raw_pieces(alphabet=ORD_ALPHABET)))
+def test_open_serial_is_kept_faithfully(br):
+    closed_first, open_first = PatternMap.build(*br), PatternMap.build(*br)
+    assert closed_first is not open_first
+    closed = pm_serial(closed_first)
+    key = pm_serial(open_first, True)
+    assert pm_serial(closed_first, True) == key == serial_by_definition(open_first, True)
+    assert closed == pm_serial(open_first) == serial_by_definition(closed_first, False)
+    assert pm_serial(open_first, True) is key

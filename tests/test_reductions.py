@@ -4,9 +4,10 @@ import random
 import zlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gbs.generators import equivalent_pair, gen_bits, gen_family, inequivalent_pair
-from gbs.ordinals import OMEGA, OMEGA_SQ, ZERO, Ordinal, nat, omega_times
+from gbs.ordinals import OMEGA, OMEGA_SQ, ZERO, Ordinal, iter_below, nat, omega_times
 from gbs.patterns import PatternMap, pm_eval, pm_support_analysis, pm_write_finite
 from gbs.reductions import (
     ReductionError,
@@ -21,6 +22,8 @@ from gbs.spaces import (
     Family,
     SpaceError,
     diff_map,
+    grid_ordvals,
+    point_code,
     word_from_bits,
     word_to_bits,
     xor_prefix,
@@ -152,6 +155,100 @@ def test_e1_to_e0_outputs_are_pinned():
         outs = [_map_or_error(gen_family(rng, BITS, bound)) for _ in range(100)]
         got[str(bound)] = zlib.crc32("\n".join(outs).encode())
     assert got == E1_TO_E0_PINS
+
+
+# --- the one-level-at-a-time map against the old definition ---------------
+# red_E1_to_E0 restricts the assignment once per level and then only the
+# components the tail class names.  The old definition, kept here as the
+# oracle, restricted and canonicalised the whole family at every level and
+# built the representative from the restricted family's final piece.
+
+
+def _tail_class_rep_by_family(xa: Family, q: int) -> Family:
+    final = xa.assignment.pieces[-1]
+    anchor = pm_eval(xa.assignment, omega_times(q - 1))
+    asg = PatternMap.build(xa.bound, [(ZERO, xa.bound, anchor, final.word)])
+    return Family(xa.components, asg)
+
+
+def red_E1_to_E0_by_family(x: Family):
+    top = max(x.stab_block(), 2)
+    vals = [0]
+    for q in range(1, top + 1):
+        vals.append(point_code(_tail_class_rep_by_family(x.restrict(omega_times(q)), q)))
+    return grid_ordvals(x.bound, vals)
+
+
+def _outcome(f, x) -> str:
+    try:
+        return f(x).serial()
+    except (ValueError, TypeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+OMEGA_CUBE = Ordinal(((3, 1),))
+# w*3 and w*2+3 are too short for most grids; the rest have pieces at
+# non-natural block indices (w^2+w*2+3 sits in block w+2)
+E1_BOUNDS = [
+    omega_times(3),
+    omega_times(2, 3),
+    L,
+    L + omega_times(1, 2),
+    OMEGA_CUBE,
+    OMEGA_CUBE + omega_times(2),
+    Ordinal(((2, 2), (1, 3))),
+]
+E1_GRID = {b: [o for o in iter_below(b, 3) if not o.is_zero()] for b in E1_BOUNDS}
+
+
+def _clip(raw, cut):
+    return [(lo, min(hi, cut), lv, w) for lo, hi, lv, w in raw if lo < cut]
+
+
+@st.composite
+def _raw(draw, bound, alphabet, max_cuts=4):
+    cuts = draw(st.sets(st.sampled_from(E1_GRID[bound]), max_size=max_cuts))
+    edges = [ZERO] + sorted(cuts) + [bound]
+    values = st.sampled_from(alphabet)
+    return [
+        (lo, hi, draw(values), tuple(draw(st.lists(values, min_size=1, max_size=3))))
+        for lo, hi in zip(edges, edges[1:])
+    ]
+
+
+@st.composite
+def raw_families(draw):
+    """Families built from raw pieces.  Each component is a shared base cut
+    at a drawn position and continued by its own raw pieces, so components
+    often agree below some level and merge in its restriction."""
+    bound = draw(st.sampled_from(E1_BOUNDS))
+    base = draw(_raw(bound, (0, 1)))
+    comps = []
+    for _ in range(draw(st.integers(2, 4))):
+        cut = draw(st.sampled_from(E1_GRID[bound] + [bound]))
+        own = [p for p in draw(_raw(bound, (0, 1))) if cut < p[1]]
+        raw = _clip(base, cut) + [(max(lo, cut), hi, lv, w) for lo, hi, lv, w in own]
+        comps.append(Bits(PatternMap.build(bound, raw)))
+    asg = PatternMap.build(bound, draw(_raw(bound, range(len(comps)))))
+    return Family(comps, asg)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(x=raw_families())
+def test_e1_to_e0_matches_the_whole_family_definition(x):
+    assert _outcome(red_E1_to_E0, x) == _outcome(red_E1_to_E0_by_family, x)
+
+
+def test_e1_to_e0_matches_when_components_merge_below_a_level():
+    # components 0 and 1 agree below w*2, so at levels 1 and 2 the old
+    # definition merged them and rebuilt the remapped assignment
+    b = L
+    base = [(ZERO, omega_times(2), 0, (0, 1))]
+    c0 = Bits(PatternMap.build(b, base + [(omega_times(2), b, 1, (1,))]))
+    c1 = Bits(PatternMap.build(b, base + [(omega_times(2), b, 0, (0,))]))
+    for word in [(0, 1), (1, 0), (0, 0, 1), (1,)]:
+        x = Family([c0, c1], PatternMap.build(b, [(ZERO, b, 1, word)]))
+        assert red_E1_to_E0(x) == red_E1_to_E0_by_family(x)
 
 
 # ---------------------------------------------------------------------------
