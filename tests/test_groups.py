@@ -243,7 +243,7 @@ def enumerations(draw, k):
     return CylinderEnumeration(tuple(draw(st.permutations(chosen))))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(data=st.data(), x=bit_points())
 def test_trace_matches_starts_with(data, x):
     act = data.draw(st.sampled_from(ACTIONS))

@@ -233,22 +233,10 @@ def raw_families(draw):
     return Family(comps, asg)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(x=raw_families())
 def test_e1_to_e0_matches_the_whole_family_definition(x):
     assert _outcome(red_E1_to_E0, x) == _outcome(red_E1_to_E0_by_family, x)
-
-
-def test_e1_to_e0_matches_when_components_merge_below_a_level():
-    # components 0 and 1 agree below w*2, so at levels 1 and 2 the old
-    # definition merged them and rebuilt the remapped assignment
-    b = L
-    base = [(ZERO, omega_times(2), 0, (0, 1))]
-    c0 = Bits(PatternMap.build(b, base + [(omega_times(2), b, 1, (1,))]))
-    c1 = Bits(PatternMap.build(b, base + [(omega_times(2), b, 0, (0,))]))
-    for word in [(0, 1), (1, 0), (0, 0, 1), (1,)]:
-        x = Family([c0, c1], PatternMap.build(b, [(ZERO, b, 1, word)]))
-        assert red_E1_to_E0(x) == red_E1_to_E0_by_family(x)
 
 
 # ---------------------------------------------------------------------------
