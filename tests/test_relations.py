@@ -529,3 +529,65 @@ def test_tower_join_decides_at_the_tagged_level():
         if k > 0:
             other = gen_point(rng, make_tower(rel_id(), k - 1).space)
             assert not decide(tower, Tagged(nat(k), x), Tagged(nat(k - 1), other))
+
+
+# --- verdicts, pinned ---------------------------------------------------------------
+# crc32 of the verdicts of E0, E1, e1[w*5] and cub on 150 independent and
+# 150 edited pairs per bound from Random(4311) at each: `1`/`0` per pair, or
+# the error's type name when the edit or the decider raises.  e1[w*5] is
+# only pinned at bounds of at least w*5.
+
+VERDICT_BOUNDS = [
+    nat(5),
+    omega_times(3),
+    omega_times(3, 2),
+    L,
+    L + 3,
+    Ordinal(((2, 2),)),
+    Ordinal(((3, 1),)),
+]
+VERDICT_RELS = [
+    rel_e0(),
+    rel_e0(ORDS),
+    rel_e1(),
+    rel_e1_approx(omega_times(5)),
+    rel_cub("Literal"),
+    rel_cub("Structural"),
+    rel_cub("Literal", "ordinal"),
+    rel_cub("Structural", "ordinal"),
+]
+
+
+def _verdicts(rel, bound) -> str:
+    rng = random.Random(4311)
+    out = []
+    for i in range(300):
+        try:
+            x = gen_point(rng, rel.space, bound)
+            y = gen_point(rng, rel.space, bound) if i % 2 else rel.kind.edit(rng, rel.space, x)
+            out.append("1" if decide(rel, x, y) else "0")
+        except (ValueError, TypeError) as exc:
+            out.append(type(exc).__name__)
+    return "\n".join(out)
+
+
+VERDICT_PINS = {
+    'e0 on bits': (0x674b6554, 0x9d877ae0, 0xe877c123, 0x4dcc7433, 0xd9a4c3f8, 0x4dcc7433, 0x4dcc7433),
+    'e0 on ords': (0x0ad9a7cc, 0x325c6d57, 0x71ee344f, 0x5dafa94e, 0xd5fcb2da, 0x5dafa94e, 0x5dafa94e),
+    'e1 on family(bits)': (0x32fb7613, 0x2cd512fd, 0x41716cea, 0x5231b653, 0x36959575, 0x5231b653, 0x5231b653),
+    'e1[w*5] on family(bits)': (0x5231b653, 0x271898af, 0x5231b653, 0x5231b653),
+    'cub[literal,binary] on bits': (0x97cca85a, 0xfb99e866, 0x51749401, 0xb38574eb, 0x6f956f06, 0xb38574eb, 0xb38574eb),
+    'cub[structural,binary] on bits': (0x186b185c, 0x186b185c, 0x186b185c, 0x937746e2, 0x186b185c, 0x937746e2, 0x937746e2),
+    'cub[literal,ordinal] on ords': (0x0293cd9e, 0x25bab4a7, 0x2da10acd, 0xf26cdf64, 0xfaad6f6a, 0xf26cdf64, 0xf26cdf64),
+    'cub[structural,ordinal] on ords': (0x186b185c, 0x186b185c, 0x186b185c, 0x82886bb1, 0x186b185c, 0x82886bb1, 0x82886bb1),
+}
+
+
+@pytest.mark.parametrize("rel", VERDICT_RELS, ids=str)
+def test_verdicts_are_pinned(rel):
+    got = tuple(
+        zlib.crc32(_verdicts(rel, b).encode())
+        for b in VERDICT_BOUNDS
+        if not isinstance(rel.kind, relations.E1Approx) or rel.kind.level <= b
+    )
+    assert got == VERDICT_PINS[str(rel)]
