@@ -16,6 +16,14 @@ Unobservable payload slots are filled deterministically: a piece with no
 limit position gets word[0] as its limit value, and a piece consisting of
 a single limit position gets (limit value,) as its word.
 
+Canonicalising reads the sorted pieces once (`_describe`).  A block that
+no piece starts inside lies in one piece and joins that piece's run of
+full blocks.  A block a boundary cuts is opened by the piece whose hi cuts
+it, with that piece's limit value and head values, extended by the pieces
+that end inside it, and closed by the one that runs past its end, whose
+word is its tail.  Runs come out in block order and merge with an equal
+neighbour as they are appended; `_rebuild` writes the canonical pieces.
+
 Two invariants of the canonical form let restriction, the value set and
 one-to-one maps read or copy the pieces without canonicalising again:
 every value slot of a canonical piece is observed at some position, and a
@@ -34,7 +42,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Iterable, Optional, Sequence, Tuple
 
-from .ordinals import OMEGA, ONE, ZERO, Ordinal, ord_max
+from .ordinals import OMEGA, ZERO, Ordinal
 
 Value = Any
 INFINITE = math.inf
@@ -242,52 +250,33 @@ def _normal_content(lv: Value, prefix: Sequence[Value], tail_word: Tuple[Value, 
 
 @lru_cache(maxsize=8192)
 def _describe(bound: Ordinal, pieces: Tuple[Piece, ...]) -> _Description:
-    if bound.is_zero():
-        return _Description(bound, (), None)
-    b_block = bound.block_index()
-    b_n = bound.nat_part()
+    """The block-level description, in one pass over the sorted pieces
+    (see the module docstring)."""
+    runs: list = []
 
-    cut: set = set()
-    for p in pieces:
-        if p.lo.nat_part() > 0:
-            beta = p.lo.block_index()
-            if beta < b_block:
-                cut.add(beta)
+    def append(lo: Ordinal, hi: Ordinal, content: _Content) -> None:
+        if runs and runs[-1].hi == lo and runs[-1].content == content:
+            runs[-1] = _BlockRun(runs[-1].lo, hi, content)
+        else:
+            runs.append(_BlockRun(lo, hi, content))
 
-    # a cut block is never wholly inside a piece (pieces tile the domain), so
-    # full-block ranges of pieces and the cut singletons partition the block axis
-    runs = []
+    lv, head = None, []  # the open block: the one the last hi cut
     for p in pieces:
+        word = p.word
         f_lo = p.lo.block_index()
-        if p.lo.nat_part() > 0:
+        if p.lo.nat_part():
+            if p.hi.block_index() == f_lo:
+                head += [word[(n - 1) % len(word)] for n in range(len(head) + 1, p.hi.nat_part())]
+                continue
+            append(f_lo, f_lo.succ(), _normal_content(lv, head, word))
             f_lo = f_lo.succ()
         f_hi = p.hi.block_index()
-        if not f_lo < f_hi:
-            continue
-        content = (p.limit_value, (), _min_cyclic_root(p.word))
-        runs.append(_BlockRun(f_lo, f_hi, content))
-    for beta in cut:
-        start = Ordinal.block_start(beta)
-        lv = _piece_at(pieces, start).limit_value
-        vals, tail = _block_windows(pieces, beta, None)
-        assert tail is not None
-        runs.append(_BlockRun(beta, beta.succ(), _normal_content(lv, vals, tail)))
-    runs.sort(key=lambda r: r.lo)
-
-    merged: list = []
-    for r in runs:
-        if merged and merged[-1].hi == r.lo and merged[-1].content == r.content:
-            merged[-1] = _BlockRun(merged[-1].lo, r.hi, r.content)
-        else:
-            merged.append(r)
-
-    partial = None
-    if b_n > 0:
-        start = Ordinal.block_start(b_block)
-        lv = _piece_at(pieces, start).limit_value
-        vals, _ = _block_windows(pieces, b_block, b_n)
-        partial = (lv, tuple(vals))
-    return _Description(bound, tuple(merged), partial)
+        if f_lo < f_hi:
+            append(f_lo, f_hi, (p.limit_value, (), _min_cyclic_root(word)))
+        if p.hi.nat_part():
+            lv, head = p.limit_value, [word[(n - 1) % len(word)] for n in range(1, p.hi.nat_part())]
+    partial = (lv, tuple(head)) if bound.nat_part() else None
+    return _Description(bound, tuple(runs), partial)
 
 
 def _block_pieces(start: Ordinal, end: Ordinal, content: _Content) -> list:
@@ -468,89 +457,7 @@ def pm_write_finite(m: PatternMap, values: Sequence[Value]) -> PatternMap:
 
 
 # ---------------------------------------------------------------------------
-# support analysis
-
-
-@dataclass(frozen=True)
-class SupportInfo:
-    unbounded: bool
-    bounded_by: Optional[Ordinal]  # least B with support in [0, B); None iff unbounded
-    final_limit_segment: bool
-    final_segment_start: Optional[Ordinal]  # least X: every limit >= X is in the set
-
-
-def _run_top_bound(run: _BlockRun) -> Optional[Ordinal]:
-    """Least upper bound of the 1-positions inside the run, or None."""
-    lv, prefix, root = run.content
-    hi_pos = Ordinal.block_start(run.hi)
-    candidates = []
-    if any(v == 1 for v in root):
-        candidates.append(hi_pos)
-    if any(v == 1 for v in prefix):
-        i = max(j for j, v in enumerate(prefix) if v == 1)
-        if run.hi.is_successor():
-            candidates.append(Ordinal.block_start(run.hi.pred()) + (i + 2))
-        else:
-            candidates.append(hi_pos)
-    if lv == 1:
-        if run.hi.is_successor():
-            candidates.append(Ordinal.block_start(run.hi.pred()).succ())
-        else:
-            candidates.append(hi_pos)
-    if not candidates:
-        return None
-    top = candidates[0]
-    for c in candidates[1:]:
-        top = ord_max(top, c)
-    return top
-
-
-@lru_cache(maxsize=8192)
-def pm_support_analysis(m: PatternMap) -> SupportInfo:
-    """Boundedness of {alpha : m(alpha) = 1} and its final-limit-segment shape."""
-    desc = _describe(m.bound, m.pieces)
-
-    bound: Optional[Ordinal] = None
-    if desc.partial is not None:
-        lv, vals = desc.partial
-        start = Ordinal.block_start(m.bound.block_index())
-        ones = [i for i, v in enumerate(vals) if v == 1]
-        if ones:
-            bound = start + (ones[-1] + 2)
-        elif lv == 1:
-            bound = start.succ()
-    if bound is None:
-        for run in reversed(desc.runs):
-            bound = _run_top_bound(run)
-            if bound is not None:
-                break
-    if bound is None:
-        bound = ZERO
-    unbounded = bound == m.bound
-
-    # least X with every limit position >= X valued 1
-    seg_start: Optional[Ordinal] = ZERO
-    found_bad = False
-    if desc.partial is not None and m.bound.block_index() > ZERO:
-        if desc.partial[0] != 1:
-            seg_start = Ordinal.block_start(m.bound.block_index()).succ()
-            found_bad = True
-    if not found_bad:
-        for run in reversed(desc.runs):
-            lo_eff = run.lo if run.lo > ZERO else ONE
-            if not lo_eff < run.hi:
-                continue  # no limit positions in this run
-            if run.content[0] == 1:
-                continue
-            if run.hi.is_successor():
-                seg_start = Ordinal.block_start(run.hi.pred()).succ()
-            else:
-                seg_start = Ordinal.block_start(run.hi)
-                if run.hi == m.bound.block_index() and desc.partial is None:
-                    seg_start = None  # bad limits cofinal in the domain
-            break
-    contains = seg_start is not None
-    return SupportInfo(unbounded, None if unbounded else bound, contains, seg_start)
+# values
 
 
 def pm_value_census(m: PatternMap) -> dict:

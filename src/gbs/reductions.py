@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .ordinals import ZERO, nat, omega_times
-from .patterns import PatternMap, Piece, pm_eval, pm_restrict, pm_write_finite
+from .ordinals import ZERO, omega_times
+from .patterns import PatternMap, Piece, pm_eval, pm_head, pm_restrict, pm_write_finite
 from .spaces import (
     BITS,
     Bits,
-    diff_map,
     Family,
     FamilyOf,
     Ords,
@@ -97,13 +96,10 @@ def decide_e0_off(support: Iterable[int], x: Bits, y: Bits) -> bool:
     """Agreement off finitely many exempt positions: the relative source
     relation of the subgroup-orbit map.  Empty support means equality."""
     positions = sorted(set(support))
-    d = diff_map(x, y)
-    width = positions[-1] + 1 if positions else 0
-    expect = [0] * width
+    if not positions:
+        return x == y
+    width = positions[-1] + 1
+    head, theirs = list(pm_head(x.seq, width)), pm_head(y.seq, width)
     for i in positions:
-        if pm_eval(d, nat(i)) == 1:
-            expect[i] = 1
-    masked = PatternMap.constant(d.bound, 0)
-    if expect:
-        masked = pm_write_finite(masked, expect)
-    return d == masked
+        head[i] = theirs[i]
+    return pm_write_finite(x.seq, head) == y.seq

@@ -27,6 +27,8 @@ witness exists exactly when the classes line up.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -48,7 +50,6 @@ from .patterns import (
     pm_map,
     pm_restrict,
     pm_splice,
-    pm_support_analysis,
     pm_value_census,
     pm_write_finite,
     pm_zip,
@@ -66,7 +67,6 @@ from .spaces import (
     Tagged,
     TaggedSum,
     TowerSum,
-    diff_map,
     family_power,
     validate_point,
     word_from_bits,
@@ -126,6 +126,34 @@ def decide(rel: EqRelHandle, x, y) -> bool:
     return rel.kind.decide(x, y)
 
 
+def _cofinal_disagreements(x, y) -> dict:
+    """Whether x and y disagree, per class of positions cofinal in their
+    bound b: `last` for the position b-1 when b is a successor; for
+    b = w*gamma each successor residue r below the lcm of the two final
+    words, and `limit` for the limit positions when gamma is a limit.  Only
+    the final pieces reach these positions, so they are all that is read;
+    families compare the components their assignments name."""
+    if isinstance(x, Family):
+        cx, cy = x.components, y.components
+        mx, my, same = x.assignment, y.assignment, lambda i, j: cx[i] == cy[j]
+    else:
+        mx, my, same = x.seq, y.seq, operator.eq
+    b = mx.bound
+    if b.is_zero():
+        return {}
+    p, q = mx.pieces[-1], my.pieces[-1]
+    n = b.nat_part()
+    if n == 1:
+        return {"last": not same(p.limit_value, q.limit_value)}
+    if n:
+        return {"last": not same(p.word[(n - 2) % len(p.word)], q.word[(n - 2) % len(q.word)])}
+    lp, lq = len(p.word), len(q.word)
+    out = {r: not same(p.word[r % lp], q.word[r % lq]) for r in range(math.lcm(lp, lq))}
+    if b.block_index().is_limit():
+        out["limit"] = not same(p.limit_value, q.limit_value)
+    return out
+
+
 def _unless_bits(space: SpaceDescriptor) -> tuple:
     """The space as a document argument, left out when it is bits."""
     return () if space == BITS else (space,)
@@ -167,7 +195,8 @@ class E0(RelKind):
             raise RelationError(f"e0 lives on bits or ords, not {space}")
 
     def decide(self, x, y) -> bool:
-        return not pm_support_analysis(diff_map(x, y)).unbounded
+        # the disagreement set is bounded
+        return not any(_cofinal_disagreements(x, y).values())
 
     def edit(self, rng, space, x):
         if space == BITS:
@@ -365,11 +394,12 @@ class Cub(RelKind):
         return f"cub[{self.params.mode.lower()},{self.params.value_space}]"
 
     def decide(self, x, y) -> bool:
-        agreement = pm_map(diff_map(x, y), lambda v: 1 - v)
-        info = pm_support_analysis(agreement)
+        differ = _cofinal_disagreements(x, y)
         if self.params.mode == "Literal":
-            return info.unbounded
-        return info.final_limit_segment
+            # the agreement set is unbounded, as it is on the empty domain
+            return not differ or not all(differ.values())
+        # the limits are cofinal only below w*gamma, gamma a limit
+        return not differ.get("limit")
 
     def _flip(self):
         """A value change that keeps the point in its space."""

@@ -378,19 +378,6 @@ def xor_prefix(w: FiniteWord, x: Bits) -> Bits:
     return Bits(pm_write_finite(x.seq, flipped))
 
 
-def diff_map(x: Point, y: Point) -> PatternMap:
-    """Indicator of pointwise disagreement (families compare components)."""
-    if isinstance(x, SeqPoint) and type(x) is type(y):
-        return pm_zip(x.seq, y.seq, lambda a, b: 0 if a == b else 1)
-    if isinstance(x, Family) and isinstance(y, Family):
-        return pm_zip(
-            x.assignment,
-            y.assignment,
-            lambda i, j: 0 if x.components[i] == y.components[j] else 1,
-        )
-    raise SpaceError("diff_map needs two points of the same sequence shape")
-
-
 def zeros(bound: Ordinal) -> Bits:
     return Bits(PatternMap.constant(bound, 0))
 

@@ -11,7 +11,6 @@ from gbs.ordinals import (
     ONE,
     ZERO,
     Ordinal,
-    iter_below,
     nat,
     omega_times,
     ord_max,
@@ -22,19 +21,22 @@ from gbs.patterns import (
     PatternError,
     PatternMap,
     Piece,
+    _describe,
     pm_eval,
     pm_head,
     pm_map,
     pm_restrict,
     pm_serial,
     pm_splice,
-    pm_support_analysis,
     pm_value_census,
     pm_value_set,
     pm_write_finite,
     pm_zip,
 )
 from gbs.spaces import word_from_bits, word_values
+
+from _oracles import describe_by_cut_blocks, pm_support_analysis
+from _strategies import GRID, OMEGA_CUBE, WRITE_BOUNDS, raw_pieces
 
 L = OMEGA_SQ
 
@@ -432,38 +434,7 @@ def test_restriction_of_equal_maps_is_equal():
 # canonicalising again; each is compared with the build-based definition on
 # bounds past w^2 and cuts at non-natural block indices.
 
-OMEGA_CUBE = Ordinal(((3, 1),))
-FAST_BOUNDS = [
-    nat(5),
-    OMEGA,
-    omega_times(2, 3),
-    omega_times(4),
-    L,
-    L + 3,
-    L + OMEGA + 2,
-    OMEGA_CUBE,
-    OMEGA_CUBE + omega_times(2),
-]
-# the finite writes also meet w+n and w^2+w*2 as bounds
-WRITE_BOUNDS = FAST_BOUNDS + [nat(1), OMEGA + 2, L + omega_times(2)]
-# positions below each bound with every CNF coefficient <= 3, zero excluded
-FAST_GRID = {b: [o for o in iter_below(b, 3) if not o.is_zero()] for b in WRITE_BOUNDS}
 PROPS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
-
-
-@st.composite
-def raw_pieces(draw, bounds=FAST_BOUNDS, alphabet=(0, 1, 2)):
-    """(bound, raw piece list) with cuts anywhere on the coefficient-3 grid."""
-    bound = draw(st.sampled_from(bounds))
-    grid = FAST_GRID[bound]
-    cuts = draw(st.sets(st.sampled_from(grid), max_size=5)) if grid else set()
-    edges = [ZERO] + sorted(cuts, key=lambda o: o.terms) + [bound]
-    raw = []
-    for lo, hi in zip(edges, edges[1:]):
-        lv = draw(st.sampled_from(alphabet))
-        word = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=3))
-        raw.append((lo, hi, lv, tuple(word)))
-    return bound, raw
 
 
 def canonical_maps(alphabet=(0, 1, 2)):
@@ -483,8 +454,8 @@ def map_by_build(m, f):
 
 CUT_KINDS = {
     "zero": lambda b: [ZERO],
-    "limit": lambda b: [o for o in FAST_GRID[b] if o.is_limit()],
-    "successor": lambda b: [o for o in FAST_GRID[b] if o.is_successor()],
+    "limit": lambda b: [o for o in GRID[b] if o.is_limit()],
+    "successor": lambda b: [o for o in GRID[b] if o.is_successor()],
     "bound": lambda b: [b],
 }
 
@@ -627,7 +598,7 @@ def test_build_matches_refined_build_and_raw_values(br, data):
     bound, raw = br
     m = PatternMap.build(bound, raw)
     # splitting pieces anywhere leaves the function, so the build, unchanged
-    grid = FAST_GRID[bound]
+    grid = GRID[bound]
     splits = data.draw(st.sets(st.sampled_from(grid), max_size=4)) if grid else set()
     refined = []
     for lo, hi, lv, word in raw:
@@ -705,3 +676,20 @@ def test_open_serial_is_kept_faithfully(br):
     assert pm_serial(closed_first, True) == key == serial_by_definition(open_first, True)
     assert closed == pm_serial(open_first) == serial_by_definition(closed_first, False)
     assert pm_serial(open_first, True) is key
+
+
+# --- the one-pass block description --------------------------------------------
+# _describe reads the sorted pieces once; the old definition, kept in
+# _oracles as the oracle, read them again from the start for every cut
+# block.  Both are compared on raw piece lists and on canonical ones.
+
+
+@PROPS
+@given(br=st.one_of(raw_pieces(bounds=WRITE_BOUNDS), raw_pieces(bounds=WRITE_BOUNDS, alphabet=ORD_ALPHABET)))
+def test_one_pass_describe_matches_the_cut_block_definition(br):
+    bound, raw = br
+    pieces = tuple(Piece(*p) for p in raw)
+    assert _describe(bound, pieces) == describe_by_cut_blocks(bound, pieces)
+    canonical = PatternMap.build(bound, raw).pieces
+    assert _describe(bound, canonical) == describe_by_cut_blocks(bound, canonical)
+    assert _describe(ZERO, ()) == describe_by_cut_blocks(ZERO, ())

@@ -4,13 +4,14 @@ import random
 import zlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from gbs.generators import equivalent_pair, gen_bits, gen_family, inequivalent_pair
-from gbs.ordinals import OMEGA, OMEGA_SQ, ZERO, Ordinal, iter_below, nat, omega_times
-from gbs.patterns import PatternMap, pm_eval, pm_support_analysis, pm_write_finite
+from gbs.ordinals import OMEGA, OMEGA_SQ, ZERO, Ordinal, nat, omega_times
+from gbs.patterns import PatternMap, pm_eval, pm_write_finite
 from gbs.reductions import (
     ReductionError,
+    decide_e0_off,
     red_E0_to_E1,
     red_E0_to_idplus,
     red_E1_to_E0,
@@ -21,7 +22,6 @@ from gbs.spaces import (
     Bits,
     Family,
     SpaceError,
-    diff_map,
     grid_ordvals,
     point_code,
     word_from_bits,
@@ -29,6 +29,9 @@ from gbs.spaces import (
     xor_prefix,
     zeros,
 )
+
+from _oracles import diff_map, pm_support_analysis
+from _strategies import raw_families
 
 L = OMEGA_SQ
 
@@ -186,53 +189,6 @@ def _outcome(f, x) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
-OMEGA_CUBE = Ordinal(((3, 1),))
-# w*3 and w*2+3 are too short for most grids; the rest have pieces at
-# non-natural block indices (w^2+w*2+3 sits in block w+2)
-E1_BOUNDS = [
-    omega_times(3),
-    omega_times(2, 3),
-    L,
-    L + omega_times(1, 2),
-    OMEGA_CUBE,
-    OMEGA_CUBE + omega_times(2),
-    Ordinal(((2, 2), (1, 3))),
-]
-E1_GRID = {b: [o for o in iter_below(b, 3) if not o.is_zero()] for b in E1_BOUNDS}
-
-
-def _clip(raw, cut):
-    return [(lo, min(hi, cut), lv, w) for lo, hi, lv, w in raw if lo < cut]
-
-
-@st.composite
-def _raw(draw, bound, alphabet, max_cuts=4):
-    cuts = draw(st.sets(st.sampled_from(E1_GRID[bound]), max_size=max_cuts))
-    edges = [ZERO] + sorted(cuts) + [bound]
-    values = st.sampled_from(alphabet)
-    return [
-        (lo, hi, draw(values), tuple(draw(st.lists(values, min_size=1, max_size=3))))
-        for lo, hi in zip(edges, edges[1:])
-    ]
-
-
-@st.composite
-def raw_families(draw):
-    """Families built from raw pieces.  Each component is a shared base cut
-    at a drawn position and continued by its own raw pieces, so components
-    often agree below some level and merge in its restriction."""
-    bound = draw(st.sampled_from(E1_BOUNDS))
-    base = draw(_raw(bound, (0, 1)))
-    comps = []
-    for _ in range(draw(st.integers(2, 4))):
-        cut = draw(st.sampled_from(E1_GRID[bound] + [bound]))
-        own = [p for p in draw(_raw(bound, (0, 1))) if cut < p[1]]
-        raw = _clip(base, cut) + [(max(lo, cut), hi, lv, w) for lo, hi, lv, w in own]
-        comps.append(Bits(PatternMap.build(bound, raw)))
-    asg = PatternMap.build(bound, draw(_raw(bound, range(len(comps)))))
-    return Family(comps, asg)
-
-
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(x=raw_families())
 def test_e1_to_e0_matches_the_whole_family_definition(x):
@@ -327,6 +283,21 @@ def test_e0_to_idplus_random_pairs_relative_contract():
         want = _agree_off(support, a, b)
         got = decide_idplus(red_E0_to_idplus(support, a), red_E0_to_idplus(support, b))
         assert got == want
+
+
+def test_decide_e0_off_matches_the_diff_map_definition():
+    # the decider writes y's values into x's head at the support positions;
+    # the oracle masks the zipped disagreement map there
+    rng = random.Random(0xE0FF)
+    for support in ([], [0], [2], [0, 3], [1, 2, 4], [5]):
+        for i in range(60):
+            a = gen_bits(rng)
+            if i % 3 == 0:
+                b = gen_bits(rng)
+            else:
+                flips = [rng.randint(0, 1) for _ in range(rng.randint(1, 8))]
+                b = xor_prefix(word_from_bits(flips), a)
+            assert decide_e0_off(support, a, b) == _agree_off(support, a, b)
 
 
 def test_e0_to_idplus_edges():

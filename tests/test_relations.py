@@ -5,7 +5,10 @@ import random
 import zlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from _oracles import diff_map, pm_support_analysis
+from _strategies import raw_family_pairs, raw_point_pairs
 from gbs import relations
 from gbs.dsl import DslError, parse_ordinal_text, parse_spec, print_point, print_rel
 from gbs.generators import (
@@ -18,7 +21,7 @@ from gbs.generators import (
     sample_pair,
 )
 from gbs.ordinals import OMEGA, OMEGA_SQ, ZERO, Ordinal, nat, omega_times
-from gbs.patterns import PatternMap, pm_write_finite
+from gbs.patterns import PatternMap, pm_map, pm_write_finite
 from gbs.relations import (
     CubParams,
     RelationError,
@@ -591,3 +594,48 @@ def test_verdicts_are_pinned(rel):
         if not isinstance(rel.kind, relations.E1Approx) or rel.kind.level <= b
     )
     assert got == VERDICT_PINS[str(rel)]
+
+
+# --- E0 and cub read the final pieces ------------------------------------------------
+# Both are tail properties, so the deciders read the last piece of each map;
+# the old definition, kept in _oracles, zipped the disagreement map and
+# analysed its support.
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    pair=st.one_of(
+        raw_point_pairs(Bits, (0, 1)),
+        raw_point_pairs(Ords, (nat(0), nat(3), OMEGA)),
+        raw_family_pairs(),
+    )
+)
+def test_tail_deciders_match_the_support_analysis(pair):
+    x, y = pair
+    d = diff_map(x, y)
+    agree = pm_support_analysis(pm_map(d, lambda v: 1 - v))
+    assert decide_E0(x, y) == (not pm_support_analysis(d).unbounded)
+    assert decide_cub(CubParams(mode="Literal"), x, y) == agree.unbounded
+    assert decide_cub(CubParams(mode="Structural"), x, y) == agree.final_limit_segment
+
+
+def test_tails_compare_over_the_lcm_of_their_words():
+    # (0,1) and (0,1,0) agree on the successor residues 0-2 and differ on 3-5
+    x = Bits(PatternMap.build(L, [(ZERO, L, 0, (0, 1))]))
+    y = Bits(PatternMap.build(L, [(ZERO, L, 0, (0, 1, 0))]))
+    assert not decide_E0(x, y)
+    assert decide_cub(CubParams(mode="Literal"), x, y)
+    assert decide_cub(CubParams(mode="Structural"), x, y)
+
+
+def test_empty_points_are_related():
+    # a map on the empty domain disagrees nowhere
+    empty = PatternMap.constant(ZERO, 0)
+    cases = [
+        (Bits(empty), [rel_e0(), rel_cub("Literal"), rel_cub("Structural")]),
+        (Ords(empty), [rel_e0(ORDS), rel_cub("Literal", "ordinal"), rel_cub("Structural", "ordinal")]),
+        (Family([], empty), [rel_e1()]),
+    ]
+    for x, rels in cases:
+        for rel in rels:
+            assert decide(rel, x, x), rel

@@ -6,6 +6,7 @@ import zlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _oracles import diff_map
 from _specgen import gen_space
 from gbs.generators import gen_point
 from gbs.ordinals import OMEGA, OMEGA_SQ, ZERO, Ordinal, nat, omega_times
@@ -23,7 +24,6 @@ from gbs.spaces import (
     TowerSum,
     canonical_key,
     canonical_min,
-    diff_map,
     family_power,
     iter_words,
     point_code,
