@@ -96,9 +96,7 @@ def decide_e0_off(support: Iterable[int], x: Bits, y: Bits) -> bool:
     """Agreement off finitely many exempt positions: the relative source
     relation of the subgroup-orbit map.  Empty support means equality."""
     positions = sorted(set(support))
-    if not positions:
-        return x == y
-    width = positions[-1] + 1
+    width = positions[-1] + 1 if positions else 0
     head, theirs = list(pm_head(x.seq, width)), pm_head(y.seq, width)
     for i in positions:
         head[i] = theirs[i]
