@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .generators import gen_bits, gen_point
-from .ordinals import OMEGA_SQ, ZERO, Ordinal, nat, omega_times, ord_max
+from .ordinals import OMEGA_SQ, ZERO, Ordinal, nat, omega_times
 from .patterns import PatternMap, pm_eval, pm_restrict, pm_splice, pm_write_finite
 from .spaces import (
     BITS,
@@ -123,7 +123,7 @@ def atom_position_bound(atom: Atom) -> Ordinal:
     else:
         b = atom.tag
     for a in atom.path:
-        b = ord_max(b, a)
+        b = max(b, a)
     return b
 
 
@@ -150,7 +150,7 @@ class LeafCondition:
 def position_bound(cond: LeafCondition) -> Ordinal:
     b = ZERO
     for a in cond.atoms + cond.guards:
-        b = ord_max(b, atom_position_bound(a))
+        b = max(b, atom_position_bound(a))
     return b
 
 
@@ -234,9 +234,9 @@ class BorelCode:
         b = ZERO
         for n in tree.nodes:
             for e in n:
-                b = ord_max(b, e)
+                b = max(b, e)
         for cond in labels.values():
-            b = ord_max(b, position_bound(cond))
+            b = max(b, position_bound(cond))
         if not b < OMEGA_SQ:
             raise CodeError("code content reaches the space bound")
         self.tree = tree
@@ -527,7 +527,7 @@ def approx_lemma_check(code: BorelCode, inp, grid_depth: int = 20) -> ApproxRepo
     b = code.content_bound
     for _, chosen in out.strategy:
         for e in chosen:
-            b = ord_max(b, e)
+            b = max(b, e)
     levels = []
     stable = True
     for q in range(1, grid_depth + 1):
@@ -674,7 +674,7 @@ def code_join(codes: Sequence[BorelCode]) -> BorelCode:
 def _label_cut(code: BorelCode) -> Optional[int]:
     b = ZERO
     for c in code.labels.values():
-        b = ord_max(b, position_bound(c))
+        b = max(b, position_bound(c))
     return b.to_nat() if b.is_nat() else None
 
 

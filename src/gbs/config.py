@@ -60,8 +60,8 @@ class WorkbenchConfig:
 
 def load_config_file(path: str) -> dict:
     """Optional INI config: a [workbench] section with lambda, word-bound,
-    samples, seed, and grid-depth keys.  Returns keyword overrides for
-    WorkbenchConfig; flag values take precedence over these."""
+    samples, seed, and grid-depth keys, and no other.  Returns keyword
+    overrides for WorkbenchConfig; flag values take precedence over these."""
     from .dsl import parse_ordinal_text
 
     cp = configparser.ConfigParser()
@@ -70,19 +70,20 @@ def load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path!r}")
     if not cp.has_section("workbench"):
         raise ConfigError(f"{path}: missing [workbench] section")
-    sec = cp["workbench"]
+    keys = {
+        "lambda": ("lam", parse_ordinal_text),
+        "word-bound": ("word_bound", parse_ordinal_text),
+        "samples": ("sample_count", int),
+        "seed": ("seed", lambda v: int(v, 0)),
+        "grid-depth": ("grid_depth", int),
+    }
     out: dict = {}
-    try:
-        if "lambda" in sec:
-            out["lam"] = parse_ordinal_text(sec["lambda"])
-        if "word-bound" in sec:
-            out["word_bound"] = parse_ordinal_text(sec["word-bound"])
-        if "samples" in sec:
-            out["sample_count"] = sec.getint("samples")
-        if "seed" in sec:
-            out["seed"] = int(sec["seed"], 0)
-        if "grid-depth" in sec:
-            out["grid_depth"] = sec.getint("grid-depth")
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    for key, raw in cp["workbench"].items():
+        if key not in keys:
+            raise ConfigError(f"{path}: unknown key {key!r} in [workbench]")
+        name, parse = keys[key]
+        try:
+            out[name] = parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     return out

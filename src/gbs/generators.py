@@ -41,10 +41,6 @@ from .spaces import (
 # ---------------------------------------------------------------------------
 
 
-def gen_ordinal(rng: random.Random, qcap: int = 8, ncap: int = 8) -> Ordinal:
-    return omega_times(rng.randint(0, qcap), rng.randint(0, ncap))
-
-
 def gen_limit(rng: random.Random, qcap: int = 6) -> Ordinal:
     return omega_times(rng.randint(1, qcap))
 

@@ -6,10 +6,10 @@ every enumerated cylinder, the set of group elements moving the point into
 that cylinder.  Two points are orbit-equivalent exactly when their traces
 differ by a right translation, provided the cylinder enumeration separates
 the orbits involved; that separation is checked at call time rather than
-assumed.  `red_ac3_selector` walks the limit grid with a nondecreasing
-subgroup chain and records, at each level, the content code of the least
-orbit translate of the restricted point.  `red_action_to_E0` composes the
-two ideas: the selector runs over right translates of trace prefixes, and
+assumed.  `default_chain` is a nondecreasing subgroup chain ending at the
+whole group.  `red_action_to_E0` is the one selector: at each level q of the
+limit grid it records the least code among the right translates, by the
+level's subgroup, of the trace entries whose cylinders have dom < q, so
 orbit equivalence becomes tail agreement of the resulting ordinal sequences.
 """
 
@@ -20,17 +20,15 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .ordinals import Ordinal, nat, omega_times
+from .ordinals import Ordinal, nat
 from .patterns import pm_eval, pm_head, pm_write_finite
 from .spaces import (
     Bits,
     FiniteWord,
     Ords,
     canonical_key,
-    canonical_min,
     grid_ordvals,
     iter_words,
-    point_code,
     word_from_bits,
     word_values,
     xor_prefix,
@@ -343,78 +341,30 @@ def ac1_criterion(act: GroupAction, enum: CylinderEnumeration, x: Bits, y: Bits)
 
 
 # ---------------------------------------------------------------------------
-# subgroup chains and the selector reductions
+# the subgroup chain and the selector
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainSchedule:
-    """Subgroup per block index: nondecreasing, eventually the whole group."""
-
-    group: FiniteGroup
-    steps: Tuple[frozenset, ...]
-
-    def __post_init__(self):
-        if not self.steps:
-            raise GroupError("empty chain schedule")
-        full = frozenset(self.group.elements())
-        prev: Optional[frozenset] = None
-        for s in self.steps:
-            if subgroup_closure(self.group, s) != s:
-                raise GroupError("chain step is not a subgroup")
-            if prev is not None and not prev <= s:
-                raise GroupError("chain steps must be nondecreasing")
-            prev = s
-        if self.steps[-1] != full:
-            raise GroupError("chain must exhaust the group")
-
-    def at(self, q: int) -> frozenset:
-        return self.steps[min(q, len(self.steps) - 1)]
-
-    @property
-    def length(self) -> int:
-        return len(self.steps)
-
-
-def default_chain(group: FiniteGroup) -> ChainSchedule:
+def default_chain(group: FiniteGroup) -> Tuple[frozenset, ...]:
+    """Subgroups from the identity to the whole group, nondecreasing."""
     steps = [frozenset({group.identity})]
     for i in range(len(group.generators)):
         steps.append(subgroup_closure(group, group.generators[: i + 1]))
     if steps[-1] != frozenset(group.elements()):
         steps.append(frozenset(group.elements()))
-    return ChainSchedule(group, tuple(steps))
-
-
-def red_ac3_selector(act: GroupAction, schedule: ChainSchedule, x: Bits) -> Ords:
-    """H(x): at limit w*q, the content code of the least translate of the
-    restriction of x under the level's subgroup; 0 at successors.  Orbit
-    equivalence is tail agreement (E0) of the outputs."""
-    if schedule.group is not act.group:
-        raise GroupError("schedule and action use different groups")
-    stab = max(
-        [schedule.length] + [act.apply(g, x).stab_block() for g in act.group.elements()]
-    )
-    codes = []
-    for q in range(stab + 1):
-        level = omega_times(q)
-        rx = x.restrict(level)
-        best = canonical_min([act.apply(g, rx) for g in schedule.at(q)])
-        codes.append(point_code(best))
-    return grid_ordvals(x.bound, codes)
+    return tuple(steps)
 
 
 def red_action_to_E0(
     act: GroupAction,
     x: Bits,
-    schedule: Optional[ChainSchedule] = None,
     enum: Optional[CylinderEnumeration] = None,
 ) -> Ords:
     """Composite reduction to E0 on ordinal sequences: the Ac1 trace of x,
     run through the selector over right translates of trace prefixes."""
     if enum is None:
         enum = cylinder_enumeration()
-    if schedule is None:
-        schedule = default_chain(act.group)
+    chain = default_chain(act.group)
     trace = red_ac1(act, enum, x)
     group = act.group
     parts = {
@@ -423,13 +373,13 @@ def red_action_to_E0(
     }
     # level q of the grid sees the trace entries whose cylinder has dom < q
     doms = [w.dom.to_nat() for w in enum.words]
-    stab = max(schedule.length, enum.delta)
+    stab = max(len(chain), enum.delta)
     codes = []
     for q in range(stab + 1):
         idx = [i for i, d in enumerate(doms) if d < q]
         best = min(
             int.from_bytes(";".join(parts[g][i] for i in idx).encode("ascii"), "big")
-            for g in schedule.at(q)
+            for g in chain[min(q, len(chain) - 1)]
         )
         codes.append(best)
     return grid_ordvals(x.bound, codes)

@@ -27,7 +27,7 @@ from .reductions import (
     red_E0_to_idplus,
     red_E1_to_E0,
 )
-from .relations import E1Approx, EqRelHandle, decide, decide_E0
+from .relations import E0, E1Approx, EqRelHandle, decide
 from .spaces import (
     BITS,
     ORDS,
@@ -489,7 +489,7 @@ def verify_orbit(action: GroupAction, config: Optional[WorkbenchConfig] = None,
                         "fail", checked + 1, 1, cfg.seed, cfg.lam, _ms(t0),
                         counterexample=(x, y), detail="trace criterion disagrees with the orbit",
                     )
-                got = decide_E0(red_action_to_E0(action, x), red_action_to_E0(action, y))
+                got = E0().decide(red_action_to_E0(action, x, enum), red_action_to_E0(action, y, enum))
             except GroupError as exc:
                 return Report("inputError", checked, 0, cfg.seed, cfg.lam, _ms(t0), detail=str(exc))
             if got != want:

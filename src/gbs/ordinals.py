@@ -14,7 +14,7 @@ the pattern-map machinery.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Tuple
 
 Term = Tuple[int, int]
 
@@ -224,35 +224,3 @@ def omega_times(q: int, plus: int = 0) -> Ordinal:
     if plus:
         terms.append((0, plus))
     return _interned(tuple(terms))
-
-
-def ord_max(a: Ordinal, b: Ordinal) -> Ordinal:
-    return b if a < b else a
-
-
-def ord_min(a: Ordinal, b: Ordinal) -> Ordinal:
-    return a if a < b else b
-
-
-def iter_below(bound: Ordinal, coeff_cap: int) -> Iterator[Ordinal]:
-    """Enumerate the finite grid of ordinals below `bound` whose CNF
-    coefficients are all <= coeff_cap and exponents <= bound's lead exponent.
-
-    The full set below a transfinite bound is infinite; this is the standard
-    desk-scale subgrid used by exhaustive arithmetic checks.
-    """
-    if bound.is_zero():
-        return
-    max_e = bound[0][0]
-
-    def build(e: int, acc: Tuple[Term, ...]) -> Iterator[Ordinal]:
-        if e < 0:
-            o = Ordinal(acc)
-            if o < bound:
-                yield o
-            return
-        yield from build(e - 1, acc)
-        for c in range(1, coeff_cap + 1):
-            yield from build(e - 1, acc + ((e, c),))
-
-    yield from build(max_e, ())

@@ -13,7 +13,8 @@ inhabit.  Each kind class below is the one definition of its kind:
 `edit` and `separated` never call a decider, so tests comparing them with
 `decide` are honest two-route checks.  The module-level `decide` validates
 both points against the handle's space and against each other's bound, once;
-nested kinds call the inner kind's decider directly.
+nested kinds, and callers whose points are valid by construction, call the
+kind's decider directly.  E0, E1 and its approximations share one tail test.
 
 Two deciders deserve a note.  E_cub carries a mode: Literal reads the
 definition verbatim (the agreement set is unbounded, which at a countable
@@ -154,6 +155,11 @@ def _cofinal_disagreements(x, y) -> dict:
     return out
 
 
+def _tail_agrees(x, y) -> bool:
+    """The disagreement set is bounded: E0, and E1 on component sequences."""
+    return not any(_cofinal_disagreements(x, y).values())
+
+
 def _unless_bits(space: SpaceDescriptor) -> tuple:
     """The space as a document argument, left out when it is bits."""
     return () if space == BITS else (space,)
@@ -195,8 +201,7 @@ class E0(RelKind):
             raise RelationError(f"e0 lives on bits or ords, not {space}")
 
     def decide(self, x, y) -> bool:
-        # the disagreement set is bounded
-        return not any(_cofinal_disagreements(x, y).values())
+        return _tail_agrees(x, y)
 
     def edit(self, rng, space, x):
         if space == BITS:
@@ -224,8 +229,7 @@ class E1(RelKind):
     name = head = "e1"
 
     def decide(self, x, y) -> bool:
-        # E0 on the indexed sequences of components
-        return decide_E0(x, y)
+        return _tail_agrees(x, y)
 
     def edit(self, rng, space, x):
         return _edit_e1(rng, x, None)
@@ -253,7 +257,7 @@ class E1Approx(RelKind):
     def decide(self, x, y) -> bool:
         if x.bound < self.level:
             raise RelationError(f"approximation level {self.level} exceeds the points' bound {x.bound}")
-        return decide_E0(x.restrict(self.level), y.restrict(self.level))
+        return _tail_agrees(x.restrict(self.level), y.restrict(self.level))
 
     def edit(self, rng, space, x):
         return _edit_e1(rng, x, self.level)
@@ -555,24 +559,3 @@ def make_tower(base: EqRelHandle, level) -> EqRelHandle:
     for _ in range(lv.nat_part()):
         rel = rel_jump(rel)
     return rel
-
-
-# ---------------------------------------------------------------------------
-# the deciders by name, on unvalidated points
-# ---------------------------------------------------------------------------
-
-decide_E0 = E0().decide
-decide_idplus = IdPlus().decide
-decide_idplus_star = IdPlusStar().decide
-
-
-def decide_E1(x: Family, y: Family, level: Optional[Ordinal] = None) -> bool:
-    return (E1() if level is None else E1Approx(level)).decide(x, y)
-
-
-def decide_cub(params: CubParams, x, y) -> bool:
-    return Cub(params).decide(x, y)
-
-
-def decide_jump(inner: EqRelHandle, x: Family, y: Family) -> bool:
-    return Jump(inner).decide(x, y)

@@ -353,10 +353,6 @@ def zero_pad_embed(w: FiniteWord, b: Ordinal) -> FiniteWord:
     return FiniteWord(pm_splice(PatternMap.constant(b, 0), w.dom, w.bits))
 
 
-def word_to_bits(w: FiniteWord, bound: Ordinal) -> Bits:
-    return Bits(zero_pad_embed(w, bound).bits)
-
-
 def starts_with(x: Bits, w: FiniteWord) -> bool:
     """Cylinder membership: x extends the word w."""
     if x.bound < w.dom:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from gbs.ordinals import ONE, ZERO, Ordinal, ord_max
+from gbs.ordinals import ONE, ZERO, Ordinal
 from gbs.patterns import (
     PatternMap,
     Piece,
@@ -124,7 +124,7 @@ def _run_top_bound(run: _BlockRun) -> Optional[Ordinal]:
         return None
     top = candidates[0]
     for c in candidates[1:]:
-        top = ord_max(top, c)
+        top = max(top, c)
     return top
 
 

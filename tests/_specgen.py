@@ -6,7 +6,7 @@ import random
 
 from gbs.codes import BorelCode, CodeTree, ComponentConstraint, InitialSegment, LeafCondition, TagEquals, code_id, code_join, code_jump
 from gbs.dsl import ApproxSpec, GameSpec, OrbitSpec
-from gbs.generators import gen_ordinal, gen_pattern, gen_point, gen_word
+from gbs.generators import gen_pattern, gen_point, gen_word
 from gbs.groups import GroupAction, PermuteCoords, XorMasks, cyclic_group, symmetric_group
 from gbs.harness import GenPolicy, ReductionSpec
 from gbs.ordinals import OMEGA, OMEGA_SQ, ZERO, nat, omega_times
@@ -160,7 +160,7 @@ def gen_reduction(rng: random.Random) -> ReductionSpec:
 def gen_doc(rng: random.Random):
     pick = rng.randrange(12)
     if pick == 0:
-        return gen_ordinal(rng)
+        return omega_times(rng.randint(0, 8), rng.randint(0, 8))
     if pick == 1:
         return gen_pattern(rng, OMEGA_SQ, rng.choice(((0, 1), (0, 1, 2, 3))))
     if pick == 2:

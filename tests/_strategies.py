@@ -4,11 +4,38 @@ the coefficient-3 grid, so at non-natural block indices past w^2 too."""
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from hypothesis import strategies as st
 
-from gbs.ordinals import OMEGA, OMEGA_SQ, ZERO, Ordinal, iter_below, nat, omega_times
+from gbs.ordinals import OMEGA, OMEGA_SQ, ZERO, Ordinal, nat, omega_times
 from gbs.patterns import PatternMap
 from gbs.spaces import Bits, Family
+
+
+def iter_below(bound: Ordinal, coeff_cap: int) -> Iterator[Ordinal]:
+    """Enumerate the finite grid of ordinals below `bound` whose CNF
+    coefficients are all <= coeff_cap and exponents <= bound's lead exponent.
+
+    The full set below a transfinite bound is infinite; this is the standard
+    desk-scale subgrid used by exhaustive arithmetic checks.
+    """
+    if bound.is_zero():
+        return
+    max_e = bound[0][0]
+
+    def build(e: int, acc: tuple) -> Iterator[Ordinal]:
+        if e < 0:
+            o = Ordinal(acc)
+            if o < bound:
+                yield o
+            return
+        yield from build(e - 1, acc)
+        for c in range(1, coeff_cap + 1):
+            yield from build(e - 1, acc + ((e, c),))
+
+    yield from build(max_e, ())
+
 
 L = OMEGA_SQ
 OMEGA_CUBE = Ordinal(((3, 1),))

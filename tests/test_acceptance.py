@@ -47,9 +47,6 @@ from gbs.patterns import PatternMap, pm_eval, pm_restrict, pm_splice, pm_write_f
 from gbs.reductions import decide_e0_off, red_E0_to_E1, red_E0_to_idplus, red_E1_to_E0
 from gbs.relations import (
     decide,
-    decide_E0,
-    decide_E1,
-    decide_idplus,
     rel_cub,
     rel_e0,
     rel_e1,
@@ -261,17 +258,17 @@ def test_criterion_3_e1_e0_equivalence(capsys):
         t0 = time.perf_counter()
         rng = random.Random(0xACC3)
         for rel, red, tgt in (
-            (rel_e1(), red_E1_to_E0, decide_E0),
-            (rel_e0(), red_E0_to_E1, decide_E1),
+            (rel_e1(), red_E1_to_E0, rel_e0(ORDS)),
+            (rel_e0(), red_E0_to_E1, rel_e1()),
         ):
             for _ in range(500):
                 x, y = equivalent_pair(rng, rel)
                 assert decide(rel, x, y)
-                assert tgt(red(x), red(y))
+                assert decide(tgt, red(x), red(y))
             for _ in range(500):
                 x, y = inequivalent_pair(rng, rel)
                 assert not decide(rel, x, y)
-                assert not tgt(red(x), red(y))
+                assert not decide(tgt, red(x), red(y))
         assert time.perf_counter() - t0 < 60.0
 
 
@@ -298,7 +295,7 @@ def test_criterion_4_e0_to_idplus(capsys):
                     hot = {s for s, m in zip(support, mask) if m}
                     y = _flip_at(eta, hot) if hot else eta
                     assert decide_e0_off(support, eta, y)
-                    assert decide_idplus(feta, red_E0_to_idplus(support, y))
+                    assert decide(rel_idplus(), feta, red_E0_to_idplus(support, y))
             for i in range(200):
                 x = gen_bits(rng)
                 hot = set(rng.sample(off, rng.randint(1, 2)))
@@ -309,7 +306,7 @@ def test_criterion_4_e0_to_idplus(capsys):
                     every = PatternMap.build(x.bound, [(ZERO, x.bound, 0, (1,))])
                     y = Bits(pm_zip(y.seq, every, lambda a, b: a ^ b))
                 assert not decide_e0_off(support, x, y)
-                assert not decide_idplus(
+                assert not decide(rel_idplus(), 
                     red_E0_to_idplus(support, x), red_E0_to_idplus(support, y)
                 )
 
@@ -335,6 +332,7 @@ ACTION_ROWS = (
 def test_criterion_5_actions_to_e0(capsys):
     with criterion(capsys, 5, "orbit partition = E0 image = trace criterion on 64-point carriers"):
         t0 = time.perf_counter()
+        e0_ords = rel_e0(ORDS)
         for name, act in ACTION_ROWS:
             carrier = _carrier()
             orbit_of = {}
@@ -356,7 +354,7 @@ def test_criterion_5_actions_to_e0(capsys):
             images = {p: red_action_to_E0(act, p, enum=enum) for p in carrier}
             for x, y in itertools.combinations_with_replacement(carrier, 2):
                 same = y in orbit_of[x]
-                assert decide_E0(images[x], images[y]) == same, name
+                assert decide(e0_ords, images[x], images[y]) == same, name
                 assert ac1_criterion(act, enum, x, y) == same, name
         assert time.perf_counter() - t0 < 60.0
 

@@ -259,6 +259,25 @@ def test_orbit_rejects_a_point_off_lambda(capsys, tmp_path, bound):
     assert (code, out, err) == (2, "", f"gbs: {doc}: point bounded by {bound}, not lambda w^2\n")
 
 
+
+@pytest.mark.parametrize(
+    "text,checked",
+    [
+        ("(orbit (action z2 (xor 4 0000 0001)))", 100),
+        ("(orbit (action z2 (permute 5 01234 01243)) (pairs 20))", 40),
+    ],
+    ids=["xor-bit-3", "swap-3-4"],
+)
+def test_orbit_map_uses_the_runs_enumeration(capsys, tmp_path, text, checked):
+    # these actions move coordinate 3, which the map's default enumeration
+    # (dom < 4) cannot separate; the run's wider one does
+    doc = tmp_path / "orbit.gbs"
+    doc.write_text(text + "\n")
+    code, out, err = run(capsys, "orbit-e0", doc, "--json")
+    assert (code, err) == (0, "")
+    rep = json.loads(out)
+    assert (rep["verdict"], rep["checked"], rep["failed"]) == ("pass", checked, 0)
+
 def test_jump_tower_level_one(capsys):
     code, out, _ = run(capsys, "jump-tower", "1", "--samples", "8")
     assert code == 0
@@ -409,6 +428,15 @@ def test_config_file_and_flag_precedence(capsys, tmp_path):
     _, out, _ = run(capsys, "--config", ini, "--seed", "4", "decide", "e0", X0, X0, "--json")
     assert json.loads(out)["seed"] == 4
 
+
+
+def test_config_file_rejects_unknown_keys(capsys, tmp_path):
+    # a misspelt key is an input error, never a silent fall back to the defaults
+    ini = tmp_path / "wb.ini"
+    ini.write_text("[workbench]\nsample = 3\nword_bound = w\n")
+    code, out, err = run(capsys, "--config", ini, "check-reduction", SPECS / "e0-to-e1.gbs")
+    assert (code, out) == (2, "")
+    assert err == f"gbs: {ini}: unknown key 'sample' in [workbench]\n"
 
 def test_lambda_flag_changes_bound(capsys):
     xw3 = "(bits [0,w^3) lim=0 word=0)"

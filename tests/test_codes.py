@@ -35,7 +35,7 @@ from gbs.codes import (
 )
 from gbs.ordinals import OMEGA, OMEGA_SQ, ZERO, Ordinal, nat, omega_times
 from gbs.patterns import PatternMap, pm_eval, pm_write_finite
-from gbs.relations import CubParams, decide_cub, decide_idplus
+from gbs.relations import decide, rel_cub, rel_idplus
 from gbs.spaces import (
     BITS,
     Bits,
@@ -45,12 +45,12 @@ from gbs.spaces import (
     iter_words,
     point_code,
     word_from_bits,
-    word_to_bits,
+    xor_prefix,
     zeros,
 )
 
 L = OMEGA_SQ
-CUB = CubParams(value_space="ordinal", mode="Structural")
+CUB = rel_cub("Structural", "ordinal")
 
 
 def W(*vals) -> FiniteWord:
@@ -58,7 +58,7 @@ def W(*vals) -> FiniteWord:
 
 
 def pt(*vals) -> Bits:
-    return word_to_bits(W(*vals), L)
+    return xor_prefix(W(*vals), zeros(L))
 
 
 def fam(comps, order) -> Family:
@@ -518,7 +518,7 @@ def test_code_jump_vs_idplus_on_prefix_families():
             comps_y = rng.sample(pool, rng.randint(1, 3))
         x = fam(comps_x, range(ks))
         y = fam(comps_y, range(len(comps_y)))
-        want = decide_idplus(x, y)
+        want = decide(rel_idplus(), x, y)
         assert game_member((x, y), cj) == want
         agree += want
     assert 0 < agree < 300
@@ -532,7 +532,7 @@ def test_code_jump_frozen_cases():
     # a left component unmatched on the right
     x = fam([a, b], [0, 1])
     y = fam([a, c], [0, 1])
-    assert not decide_idplus(x, y)
+    assert not decide(rel_idplus(), x, y)
     assert not game_member((x, y), cj)
     # arity-1 codes cannot be jumped
     with pytest.raises(CodeError, match="relation"):
@@ -694,10 +694,10 @@ def test_red_S_to_cub_identity_code():
     f = red_S_to_cub(code_id())
     eta, xi = pt(1, 0, 1), pt(1, 1, 1)
     assert f(eta) == f(pt(1, 0, 1))
-    assert not decide_cub(CUB, f(eta), f(xi))
+    assert not decide(CUB, f(eta), f(xi))
     # agreement below the cut gives eventual agreement of the outputs
     deep = Bits(pm_write_finite(PatternMap.constant(L, 1), [1, 0, 1]))
-    assert decide_cub(CUB, f(eta), f(deep))
+    assert decide(CUB, f(eta), f(deep))
     # successor positions carry 0
     assert pm_eval(f(eta).seq, nat(3)) == ZERO
     assert pm_eval(f(eta).seq, OMEGA + 4) == ZERO
@@ -709,9 +709,9 @@ def test_red_S_to_cub_jump_code():
     x = fam([a, b], [0, 1])
     y = fam([b, a], [0, 1])
     z = fam([a], [0])
-    assert decide_idplus(x, y)
-    assert decide_cub(CUB, g(x), g(y))
-    assert not decide_cub(CUB, g(x), g(z))
+    assert decide(rel_idplus(), x, y)
+    assert decide(CUB, g(x), g(y))
+    assert not decide(CUB, g(x), g(z))
 
 
 def test_red_S_to_cub_rejects_non_equivalence():

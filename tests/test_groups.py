@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gbs.groups import (
-    ChainSchedule,
     CylinderEnumeration,
     FiniteGroup,
     GroupAction,
@@ -20,7 +19,6 @@ from gbs.groups import (
     orbit_decide,
     orbit_witness,
     red_ac1,
-    red_ac3_selector,
     red_action_to_E0,
     subgroup_closure,
     symmetric_group,
@@ -252,46 +250,45 @@ def test_trace_matches_starts_with(data, x):
     assert red_ac1(act, enum, x) == trace_by_starts_with(act, enum, x)
 
 
-# --- chain schedules and the selector ----------------------------------------------
+# --- the subgroup chain and the selector -------------------------------------------
 
 
-def test_chain_schedule_validation():
-    full = frozenset(range(4))
-    ChainSchedule(Z4, (frozenset({0}), frozenset({0, 2}), full))
-    with pytest.raises(GroupError, match="not a subgroup"):
-        ChainSchedule(Z4, (frozenset({0, 1}), full))
-    with pytest.raises(GroupError, match="nondecreasing"):
-        ChainSchedule(Z4, (frozenset({0, 2}), frozenset({0}), full))
-    with pytest.raises(GroupError, match="exhaust"):
-        ChainSchedule(Z4, (frozenset({0}), frozenset({0, 2})))
-    chain = default_chain(S3)
-    assert chain.steps[0] == frozenset({S3.identity})
-    assert chain.steps[-1] == frozenset(range(6))
-    assert chain.at(100) == chain.steps[-1]
+def test_default_chain_shape():
+    for group in (Z2, Z4, S3):
+        chain = default_chain(group)
+        assert chain[0] == frozenset({group.identity})
+        assert all(a <= b for a, b in zip(chain, chain[1:]))
+        assert chain[-1] == frozenset(group.elements())
+        assert all(subgroup_closure(group, s) == s for s in chain)
 
 
 def test_selector_frozen_examples():
-    sched = default_chain(Z2)
-    hx = red_ac3_selector(FLIP0, sched, zeros(L))
-    hy = red_ac3_selector(FLIP0, sched, pt([1]))
-    assert hx == hy  # shared orbit minimum at every level
-    hw = red_ac3_selector(FLIP0, sched, ind_omega())
-    assert pm_eval(hx.seq, OMEGA) == pm_eval(hw.seq, OMEGA)  # restrictions to w agree
-    for q in (2, 3, 5, 9):
-        assert pm_eval(hx.seq, omega_times(q)) != pm_eval(hw.seq, omega_times(q))
-    assert not decide(E0_ORDS, hx, hw)
+    hx = red_action_to_E0(FLIP0, zeros(L))
+    hy = red_action_to_E0(FLIP0, pt([1]))
+    assert hx == hy  # one orbit, one trace up to translation, one output
+    # pt([0, 1]) leaves the orbit at position 1, which level q sees once the
+    # cylinders of dom q - 1 reach it
+    hz = red_action_to_E0(FLIP0, pt([0, 1]))
+    assert pm_eval(hx.seq, OMEGA) == pm_eval(hz.seq, OMEGA)
+    for q in (3, 5, 9):
+        assert pm_eval(hx.seq, omega_times(q)) != pm_eval(hz.seq, omega_times(q))
+    assert not decide(E0_ORDS, hx, hz)
     assert decide(E0_ORDS, hx, hy)
     # successors carry 0
     assert pm_eval(hx.seq, nat(7)) == ZERO
     assert pm_eval(hx.seq, OMEGA.succ()) == ZERO
-    with pytest.raises(GroupError, match="different groups"):
-        red_ac3_selector(FLIP0, default_chain(Z4), zeros(L))
+    # ind_omega leaves the orbit of zeros only at w, which no cylinder sees:
+    # the two share an image, and the criterion refuses the unseparated pair
+    assert not orbit_decide(FLIP0, zeros(L), ind_omega())
+    assert red_action_to_E0(FLIP0, ind_omega()) == hx
+    with pytest.raises(GroupError, match="enumeration bound too small"):
+        ac1_criterion(FLIP0, cylinder_enumeration(), zeros(L), ind_omega())
 
 
 def test_selector_biconditional_s3():
-    pts = carrier(6)
-    sched = default_chain(S3)
-    outs = [red_ac3_selector(PERM3, sched, p) for p in pts]
+    # the default enumeration separates points that differ only on the block
+    pts = carrier(3)
+    outs = [red_action_to_E0(PERM3, p) for p in pts]
     for i in range(len(pts)):
         for j in range(i, len(pts)):
             assert decide(E0_ORDS, outs[i], outs[j]) == orbit_decide(PERM3, pts[i], pts[j])
@@ -315,8 +312,7 @@ def test_action_to_e0_same_point():
 def test_action_to_e0_biconditional(act, k, delta):
     pts = carrier(k)
     enum = cylinder_enumeration(delta)
-    sched = default_chain(act.group)
-    outs = [red_action_to_E0(act, p, sched, enum) for p in pts]
+    outs = [red_action_to_E0(act, p, enum) for p in pts]
     for i in range(len(pts)):
         for j in range(i, len(pts)):
             want = orbit_decide(act, pts[i], pts[j])

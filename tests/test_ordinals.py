@@ -13,13 +13,12 @@ from gbs.ordinals import (
     ZERO,
     Ordinal,
     OrdinalError,
-    iter_below,
     nat,
     omega_times,
-    ord_max,
-    ord_min,
 )
 from gbs.spaces import BITS, word_from_bits
+
+from _strategies import iter_below
 
 # ---------------------------------------------------------------------------
 # Oracle: ordinals below w^2 are exactly the pairs (q, n) of naturals,
@@ -213,8 +212,11 @@ def test_nat_roundtrip():
 
 
 def test_ord_max_min():
-    assert ord_max(OMEGA, nat(9)) == OMEGA
-    assert ord_min(OMEGA, nat(9)) == nat(9)
+    # the builtins, on tuple order: a proper prefix is the smaller ordinal
+    assert max(OMEGA, nat(9)) == OMEGA
+    assert min(OMEGA, nat(9)) == nat(9)
+    assert max(OMEGA + 1, OMEGA) == OMEGA + 1
+    assert min([omega_times(2), OMEGA + 5, ZERO, OMEGA]) == ZERO
 
 
 # --- randomized associativity in a wider grid --------------------------------
@@ -261,7 +263,7 @@ def test_order_matches_decimal_oracle(a, b):
     assert (x < y, x <= y, x == y, x != y, x >= y, x > y) == (
         dx < dy, dx <= dy, dx == dy, dx != dy, dx >= dy, dx > dy,
     )
-    assert (ord_max(x, y), ord_min(x, y)) == ((y, x) if dx < dy else (x, y))
+    assert (max(x, y), min(x, y)) == ((y, x) if dx < dy else (x, y))
 
 
 @PROPS

@@ -13,8 +13,6 @@ from gbs.ordinals import (
     Ordinal,
     nat,
     omega_times,
-    ord_max,
-    ord_min,
 )
 from gbs.patterns import (
     INFINITE,
@@ -287,13 +285,13 @@ def support_oracle(raw, bound):
         if last is None:
             continue
         if last >= 9:
-            best = ord_max(best, omega_times(q + 1))
+            best = max(best, omega_times(q + 1))
         else:
-            best = ord_max(best, start + (last + 1))
+            best = max(best, start + (last + 1))
     for n in range(bound.nat_part()):
         a = omega_times(bq) + n
         if eval_raw(raw, a) == 1:
-            best = ord_max(best, a.succ())
+            best = max(best, a.succ())
     return best
 
 
@@ -442,7 +440,7 @@ def canonical_maps(alphabet=(0, 1, 2)):
 
 
 def restrict_by_build(m, a):
-    kept = [Piece(p.lo, ord_min(a, p.hi), p.limit_value, p.word) for p in m.pieces if p.lo < a]
+    kept = [Piece(p.lo, min(a, p.hi), p.limit_value, p.word) for p in m.pieces if p.lo < a]
     return PatternMap.build(a, kept)
 
 
@@ -529,7 +527,7 @@ def test_head_matches_eval(m, data):
 def written_raw(raw, head_raw, k):
     """head_raw on [0, k), then raw's pieces cut to start at k."""
     kk = nat(k)
-    tail = [(ord_max(lo, kk), hi, lv, word) for lo, hi, lv, word in raw if kk < hi]
+    tail = [(max(lo, kk), hi, lv, word) for lo, hi, lv, word in raw if kk < hi]
     return head_raw + tail
 
 

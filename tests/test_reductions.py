@@ -16,16 +16,16 @@ from gbs.reductions import (
     red_E0_to_idplus,
     red_E1_to_E0,
 )
-from gbs.relations import decide_E0, decide_E1, decide_idplus, rel_e1
+from gbs.relations import decide, rel_e0, rel_e1, rel_idplus
 from gbs.spaces import (
     BITS,
+    ORDS,
     Bits,
     Family,
     SpaceError,
     grid_ordvals,
     point_code,
     word_from_bits,
-    word_to_bits,
     xor_prefix,
     zeros,
 )
@@ -34,10 +34,11 @@ from _oracles import diff_map, pm_support_analysis
 from _strategies import raw_families
 
 L = OMEGA_SQ
+E0_ORDS = rel_e0(ORDS)
 
 
 def pt(*vals) -> Bits:
-    return word_to_bits(word_from_bits(list(vals)), L)
+    return xor_prefix(word_from_bits(list(vals)), zeros(L))
 
 
 def fam(comps, assignment) -> Family:
@@ -61,7 +62,7 @@ def test_e1_to_e0_equivalent_pairs_share_a_tail():
     for _ in range(50):
         x, y = equivalent_pair(rng, rel_e1())
         fx, fy = red_E1_to_E0(x), red_E1_to_E0(y)
-        assert decide_E0(fx, fy)
+        assert decide(E0_ORDS, fx, fy)
         # a disagreement bound for the inputs bounds the code disagreements
         info = pm_support_analysis(diff_map(x, y))
         assert info.bounded_by is not None
@@ -75,7 +76,7 @@ def test_e1_to_e0_inequivalent_pairs_differ_cofinally():
     rng = random.Random(0xE1E2)
     for _ in range(50):
         x, y = inequivalent_pair(rng, rel_e1())
-        assert not decide_E0(red_E1_to_E0(x), red_E1_to_E0(y))
+        assert not decide(E0_ORDS, red_E1_to_E0(x), red_E1_to_E0(y))
 
 
 def test_e1_to_e0_limit_only_disagreement():
@@ -85,9 +86,9 @@ def test_e1_to_e0_limit_only_disagreement():
     c1 = Bits(PatternMap.constant(L, 1))
     x = Family([c0, c1], PatternMap.constant(L, 0))
     y = Family([c0, c1], PatternMap.build(L, [(ZERO, L, 1, (0,))]))
-    assert not decide_E1(x, y)
+    assert not decide(rel_e1(), x, y)
     fx, fy = red_E1_to_E0(x), red_E1_to_E0(y)
-    assert not decide_E0(fx, fy)
+    assert not decide(E0_ORDS, fx, fy)
     for q in range(1, 8):
         assert pm_eval(fx.seq, omega_times(q)) != pm_eval(fy.seq, omega_times(q))
 
@@ -97,8 +98,8 @@ def test_e1_to_e0_successor_content_separates():
     c1 = Bits(PatternMap.constant(L, 1))
     x = Family([c0, c1], PatternMap.constant(L, 0))
     z = Family([c0, c1], PatternMap.build(L, [(ZERO, L, 0, (0, 1))]))
-    assert not decide_E1(x, z)
-    assert not decide_E0(red_E1_to_E0(x), red_E1_to_E0(z))
+    assert not decide(rel_e1(), x, z)
+    assert not decide(E0_ORDS, red_E1_to_E0(x), red_E1_to_E0(z))
 
 
 def test_e1_to_e0_prefix_noise_is_forgotten():
@@ -106,9 +107,9 @@ def test_e1_to_e0_prefix_noise_is_forgotten():
     c1 = Bits(PatternMap.constant(L, 1))
     x = Family([c0, c1], PatternMap.constant(L, 0))
     noisy = Family([c0, c1], pm_write_finite(PatternMap.constant(L, 0), [1, 1, 0, 1]))
-    assert decide_E1(x, noisy)
+    assert decide(rel_e1(), x, noisy)
     fx, fn = red_E1_to_E0(x), red_E1_to_E0(noisy)
-    assert decide_E0(fx, fn)
+    assert decide(E0_ORDS, fx, fn)
     # only the level covering the edits can tell the two apart
     assert pm_eval(fx.seq, OMEGA) != pm_eval(fn.seq, OMEGA)
     for q in range(2, 8):
@@ -204,7 +205,7 @@ def test_e0_to_e1_biconditional_sampled():
     rng = random.Random(0xE0E1)
     for _ in range(150):
         a, b = gen_bits(rng), gen_bits(rng)
-        assert decide_E0(a, b) == decide_E1(red_E0_to_E1(a), red_E0_to_E1(b))
+        assert decide(rel_e0(), a, b) == decide(rel_e1(), red_E0_to_E1(a), red_E0_to_E1(b))
 
 
 def test_e0_to_e1_constructed_equivalents():
@@ -213,8 +214,8 @@ def test_e0_to_e1_constructed_equivalents():
         a = gen_bits(rng)
         word = word_from_bits([rng.randint(0, 1) for _ in range(rng.randint(1, 6))])
         b = xor_prefix(word, a)
-        assert decide_E0(a, b)
-        assert decide_E1(red_E0_to_E1(a), red_E0_to_E1(b))
+        assert decide(rel_e0(), a, b)
+        assert decide(rel_e1(), red_E0_to_E1(a), red_E0_to_E1(b))
 
 
 def test_e0_to_e1_frozen():
@@ -222,7 +223,7 @@ def test_e0_to_e1_frozen():
     assert red_E0_to_E1(eta) == red_E0_to_E1(pt(1, 0, 1))
     flipped = Bits(PatternMap.build(L, [(ZERO, L, 0, (1,))]))  # complement off 0
     x, y = red_E0_to_E1(zeros(L)), red_E0_to_E1(flipped)
-    assert not decide_E1(x, y)
+    assert not decide(rel_e1(), x, y)
     # the family literally spreads the bits
     assert x.components[pm_eval(x.assignment, nat(3))] == zeros(L)
 
@@ -257,7 +258,7 @@ def test_e0_to_idplus_subgroup_orbit(support):
                     raw[pos] = 1
             xi = xor_prefix(word_from_bits(raw), eta)
             assert _agree_off(support, eta, xi)
-            assert decide_idplus(base, red_E0_to_idplus(support, xi))
+            assert decide(rel_idplus(), base, red_E0_to_idplus(support, xi))
 
 
 @pytest.mark.parametrize("support", [[2], [0, 3], [1, 2, 4]])
@@ -270,7 +271,7 @@ def test_e0_to_idplus_off_support_flip_separates(support):
         raw[off] = 1
         xi = xor_prefix(word_from_bits(raw), eta)
         assert not _agree_off(support, eta, xi)
-        assert not decide_idplus(
+        assert not decide(rel_idplus(), 
             red_E0_to_idplus(support, eta), red_E0_to_idplus(support, xi)
         )
 
@@ -281,7 +282,7 @@ def test_e0_to_idplus_random_pairs_relative_contract():
     for _ in range(80):
         a, b = gen_bits(rng), gen_bits(rng)
         want = _agree_off(support, a, b)
-        got = decide_idplus(red_E0_to_idplus(support, a), red_E0_to_idplus(support, b))
+        got = decide(rel_idplus(), red_E0_to_idplus(support, a), red_E0_to_idplus(support, b))
         assert got == want
 
 
@@ -304,8 +305,8 @@ def test_e0_to_idplus_edges():
     eta = pt(1, 1, 0)
     single = red_E0_to_idplus([], eta)
     assert single.components == (eta,)
-    assert decide_idplus(single, red_E0_to_idplus([], pt(1, 1, 0)))
-    assert not decide_idplus(single, red_E0_to_idplus([], pt(0, 1)))
+    assert decide(rel_idplus(), single, red_E0_to_idplus([], pt(1, 1, 0)))
+    assert not decide(rel_idplus(), single, red_E0_to_idplus([], pt(0, 1)))
     with pytest.raises(ReductionError, match="exceeds"):
         red_E0_to_idplus(range(7), eta)
     with pytest.raises(ReductionError, match="natural"):

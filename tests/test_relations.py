@@ -26,12 +26,6 @@ from gbs.relations import (
     CubParams,
     RelationError,
     decide,
-    decide_E0,
-    decide_E1,
-    decide_cub,
-    decide_idplus,
-    decide_idplus_star,
-    decide_jump,
     make_tower,
     rel_cub,
     rel_e0,
@@ -230,28 +224,22 @@ def test_e0_lives_on_bits_or_ords():
 
 
 def test_dispatch_matches_direct_deciders():
+    # the validating dispatch and the kind's own decider give one verdict;
+    # id+* is compared on the pairs sampled for id+
     rng = random.Random(7)
-    for _ in range(120):
-        x, y = sample_pair(rng, rel_e0())
-        assert decide(rel_e0(), x, y) == decide_E0(x, y)
-    for _ in range(120):
-        x, y = sample_pair(rng, rel_e1())
-        assert decide(rel_e1(), x, y) == decide_E1(x, y)
-    lvl = omega_times(4)
-    for _ in range(60):
-        x, y = sample_pair(rng, rel_e1_approx(lvl))
-        assert decide(rel_e1_approx(lvl), x, y) == decide_E1(x, y, lvl)
-    for _ in range(120):
-        x, y = sample_pair(rng, rel_idplus())
-        assert decide(rel_idplus(), x, y) == decide_idplus(x, y)
-        assert decide(rel_idplus_star(), x, y) == decide_idplus_star(x, y)
-    for mode in ("Literal", "Structural"):
-        for _ in range(60):
-            x, y = sample_pair(rng, rel_cub(mode))
-            assert decide(rel_cub(mode), x, y) == decide_cub(CubParams(mode=mode), x, y)
-    for _ in range(60):
-        x, y = sample_pair(rng, rel_jump(rel_e0()))
-        assert decide(rel_jump(rel_e0()), x, y) == decide_jump(rel_e0(), x, y)
+    for rel, n, also in (
+        (rel_e0(), 120, ()),
+        (rel_e1(), 120, ()),
+        (rel_e1_approx(omega_times(4)), 60, ()),
+        (rel_idplus(), 120, (rel_idplus_star(),)),
+        (rel_cub("Literal"), 60, ()),
+        (rel_cub("Structural"), 60, ()),
+        (rel_jump(rel_e0()), 60, ()),
+    ):
+        for _ in range(n):
+            x, y = sample_pair(rng, rel)
+            for r in (rel,) + also:
+                assert decide(r, x, y) == r.kind.decide(x, y)
 
 
 # --- E0 frozen examples ------------------------------------------------------------
@@ -260,14 +248,14 @@ def test_dispatch_matches_direct_deciders():
 def test_e0_diff_bounded_by_omega():
     x = zeros(L)
     y = Bits(PatternMap.build(L, [(ZERO, OMEGA, 1, (1,)), (OMEGA, L, 0, (0,))]))
-    assert decide_E0(x, y)
+    assert decide(rel_e0(), x, y)
 
 
 def test_e0_diff_all_successors():
     x = zeros(L)
     y = Bits(PatternMap.build(L, [(ZERO, L, 0, (1,))]))
-    assert not decide_E0(x, y)
-    assert decide_E0(x, x)
+    assert not decide(rel_e0(), x, y)
+    assert decide(rel_e0(), x, x)
 
 
 # --- E1 ----------------------------------------------------------------------------
@@ -278,7 +266,7 @@ def test_e1_agrees_above_finite_disagreement():
     c0, c1 = gen_point(rng, BITS), gen_point(rng, BITS)
     x = Family([c0, c1], PatternMap.build(L, [(ZERO, L, 0, (0,))]))
     y = Family([c0, c1], pm_write_finite(x.assignment, [1, 1, 1]))
-    assert decide_E1(x, y)
+    assert decide(rel_e1(), x, y)
 
 
 def test_e1_phase_shift_is_cofinal_disagreement():
@@ -290,8 +278,8 @@ def test_e1_phase_shift_is_cofinal_disagreement():
     for q in range(21):
         pos = omega_times(q, 1)
         assert x.at(pos) != y.at(pos)
-    assert not decide_E1(x, y)
-    assert not decide_E1(x, y, omega_times(5))
+    assert not decide(rel_e1(), x, y)
+    assert not decide(rel_e1_approx(omega_times(5)), x, y)
 
 
 def test_e1_approx_ignores_everything_above_its_level():
@@ -303,10 +291,10 @@ def test_e1_approx_ignores_everything_above_its_level():
 
     tail = PatternMap.build(L, [(ZERO, L, 0, (1,))])
     y = Family([c0, c1], pm_splice(tail, omega_times(3), pm_restrict(base, omega_times(3))))
-    assert decide_E1(x, y, omega_times(3))
-    assert not decide_E1(x, y)
+    assert decide(rel_e1_approx(omega_times(3)), x, y)
+    assert not decide(rel_e1(), x, y)
     with pytest.raises(RelationError):
-        decide_E1(x, y, omega_times(3, 1))
+        decide(rel_e1_approx(omega_times(3, 1)), x, y)
 
 
 def test_e1_approx_above_the_points_bound_is_an_error():
@@ -325,14 +313,14 @@ def test_idplus_frozen_examples():
         b = xor_prefix(word_from_bits([1]), a)
     perm = Family([a, b], PatternMap.build(L, [(ZERO, OMEGA, 0, (1,)), (OMEGA, L, 1, (0,))]))
     swapped = Family([a, b], PatternMap.build(L, [(ZERO, OMEGA, 1, (0,)), (OMEGA, L, 0, (1,))]))
-    assert decide_idplus(perm, swapped)
+    assert decide(rel_idplus(), perm, swapped)
     just_a = Family([a], PatternMap.constant(L, 0))
-    assert not decide_idplus(just_a, perm)
+    assert not decide(rel_idplus(), just_a, perm)
     # multiplicity changes are invisible to the set
     two = Family([a, b], pm_write_finite(PatternMap.constant(L, 1), [0, 0]))
     five = Family([a, b], pm_write_finite(PatternMap.constant(L, 1), [0] * 5))
-    assert decide_idplus(two, five)
-    assert not decide_idplus_star(two, five)
+    assert decide(rel_idplus(), two, five)
+    assert not decide(rel_idplus_star(), two, five)
 
 
 def test_idplus_star_witness_shape():
@@ -342,8 +330,8 @@ def test_idplus_star_witness_shape():
         b = xor_prefix(word_from_bits([1]), a)
     x = Family([a, b], pm_write_finite(PatternMap.constant(L, 1), [0, 0]))
     y = Family([a, b], pm_write_finite(PatternMap.constant(L, 1), [0, 1, 0]))
-    assert decide_idplus_star(x, y)
-    assert not decide_idplus_star(x, Family([a], PatternMap.constant(L, 0)))
+    assert decide(rel_idplus_star(), x, y)
+    assert not decide(rel_idplus_star(), x, Family([a], PatternMap.constant(L, 0)))
 
 
 def finite_matching_exists(xs, ys):
@@ -381,19 +369,19 @@ def test_cub_frozen_limit_agreement():
     x = zeros(L)
     y = Bits(PatternMap.build(L, [(ZERO, L, 0, (1,))]))
     # agreement = {0} plus every limit
-    assert decide_cub(CubParams(mode="Literal"), x, y)
-    assert decide_cub(CubParams(mode="Structural"), x, y)
-    assert not decide_E0(x, y)
+    assert decide(rel_cub("Literal"), x, y)
+    assert decide(rel_cub("Structural"), x, y)
+    assert not decide(rel_e0(), x, y)
 
 
 def test_cub_frozen_odd_agreement():
     x = zeros(L)
     y = Bits(PatternMap.build(L, [(ZERO, L, 1, (0, 1))]))
     # y is 0 exactly at odd successor offsets, 1 at limits and evens
-    assert decide_cub(CubParams(mode="Literal"), x, y)
-    assert not decide_cub(CubParams(mode="Structural"), x, y)
-    assert decide_cub(CubParams(mode="Literal"), x, x)
-    assert decide_cub(CubParams(mode="Structural"), x, x)
+    assert decide(rel_cub("Literal"), x, y)
+    assert not decide(rel_cub("Structural"), x, y)
+    assert decide(rel_cub("Literal"), x, x)
+    assert decide(rel_cub("Structural"), x, x)
 
 
 def test_cub_params_validation():
@@ -410,17 +398,17 @@ def test_e0_implies_both_cub_modes():
     rng = random.Random(15)
     for _ in range(150):
         x, y = sample_pair(rng, rel_e0())
-        if decide_E0(x, y):
-            assert decide_cub(CubParams(mode="Literal"), x, y)
-            assert decide_cub(CubParams(mode="Structural"), x, y)
+        if decide(rel_e0(), x, y):
+            assert decide(rel_cub("Literal"), x, y)
+            assert decide(rel_cub("Structural"), x, y)
 
 
 def test_structural_implies_literal():
     rng = random.Random(16)
     for mode_pairs in range(200):
         x, y = sample_pair(rng, rel_cub("Structural"))
-        if decide_cub(CubParams(mode="Structural"), x, y):
-            assert decide_cub(CubParams(mode="Literal"), x, y)
+        if decide(rel_cub("Structural"), x, y):
+            assert decide(rel_cub("Literal"), x, y)
 
 
 def test_identity_implies_every_relation():
@@ -436,15 +424,15 @@ def test_jump_of_id_is_idplus():
     jump_id = rel_jump(rel_id())
     for _ in range(150):
         x, y = sample_pair(rng, rel_idplus())
-        assert decide(jump_id, x, y) == decide_idplus(x, y)
+        assert decide(jump_id, x, y) == decide(rel_idplus(), x, y)
 
 
 def test_idplus_star_implies_idplus():
     rng = random.Random(19)
     for _ in range(150):
         x, y = sample_pair(rng, rel_idplus_star())
-        if decide_idplus_star(x, y):
-            assert decide_idplus(x, y)
+        if decide(rel_idplus_star(), x, y):
+            assert decide(rel_idplus(), x, y)
 
 
 # --- jump ---------------------------------------------------------------------------
@@ -456,16 +444,16 @@ def test_jump_e0_matched_but_unequal_components():
     for _ in range(60):
         c0 = gen_point(rng, BITS)
         c1 = Bits(PatternMap.build(L, [(ZERO, L, 0, (1,))]))
-        if decide_E0(c0, c1):
+        if decide(rel_e0(), c0, c1):
             continue
         d0 = xor_prefix(word_from_bits([1, 1]), c0)
         d1 = xor_prefix(word_from_bits([0, 1, 0, 1]), c1)
         x = Family([c0, c1], PatternMap.build(L, [(ZERO, OMEGA, 0, (0,)), (OMEGA, L, 1, (1,))]))
         y = Family([d0, d1], PatternMap.build(L, [(ZERO, OMEGA, 1, (1,)), (OMEGA, L, 0, (0,))]))
         assert x.components != y.components
-        assert decide_jump(e0, x, y)
+        assert decide(rel_jump(e0), x, y)
         # bipartite covering oracle, recomputed directly
-        cover = lambda cs, ds: all(any(decide_E0(c, d) for d in ds) for c in cs)
+        cover = lambda cs, ds: all(any(decide(rel_e0(), c, d) for d in ds) for c in cs)
         assert cover(x.components, y.components) and cover(y.components, x.components)
 
 
@@ -474,7 +462,7 @@ def test_jump_unmatched_component_fails():
     far = Bits(PatternMap.build(L, [(ZERO, L, 0, (1,))]))  # not E0 to c0
     x = Family([c0], PatternMap.constant(L, 0))
     y = Family([c0, far], PatternMap.build(L, [(ZERO, OMEGA, 0, (0,)), (OMEGA, L, 1, (1,))]))
-    assert not decide_jump(rel_e0(), x, y)
+    assert not decide(rel_jump(rel_e0()), x, y)
 
 
 def test_jump_decider_matches_covering_oracle_on_samples():
@@ -483,8 +471,8 @@ def test_jump_decider_matches_covering_oracle_on_samples():
     jump = rel_jump(e0)
     for _ in range(80):
         x, y = sample_pair(rng, jump)
-        want = all(any(decide_E0(c, d) for d in y.components) for c in x.components) and all(
-            any(decide_E0(c, d) for c in x.components) for d in y.components
+        want = all(any(decide(rel_e0(), c, d) for d in y.components) for c in x.components) and all(
+            any(decide(rel_e0(), c, d) for c in x.components) for d in y.components
         )
         assert decide(jump, x, y) == want
 
@@ -500,7 +488,7 @@ def test_make_tower_levels():
     rng = random.Random(22)
     for _ in range(100):
         x, y = sample_pair(rng, rel_idplus())
-        assert decide(t1, x, y) == decide_idplus(x, y)
+        assert decide(t1, x, y) == decide(rel_idplus(), x, y)
     t2 = make_tower(base, 2)
     assert t2.space == FamilyOf(FamilyOf(BITS))
     tw = make_tower(base, OMEGA)
@@ -614,18 +602,18 @@ def test_tail_deciders_match_the_support_analysis(pair):
     x, y = pair
     d = diff_map(x, y)
     agree = pm_support_analysis(pm_map(d, lambda v: 1 - v))
-    assert decide_E0(x, y) == (not pm_support_analysis(d).unbounded)
-    assert decide_cub(CubParams(mode="Literal"), x, y) == agree.unbounded
-    assert decide_cub(CubParams(mode="Structural"), x, y) == agree.final_limit_segment
+    assert relations.E0().decide(x, y) == (not pm_support_analysis(d).unbounded)
+    assert relations.Cub(CubParams(mode="Literal")).decide(x, y) == agree.unbounded
+    assert relations.Cub(CubParams(mode="Structural")).decide(x, y) == agree.final_limit_segment
 
 
 def test_tails_compare_over_the_lcm_of_their_words():
     # (0,1) and (0,1,0) agree on the successor residues 0-2 and differ on 3-5
     x = Bits(PatternMap.build(L, [(ZERO, L, 0, (0, 1))]))
     y = Bits(PatternMap.build(L, [(ZERO, L, 0, (0, 1, 0))]))
-    assert not decide_E0(x, y)
-    assert decide_cub(CubParams(mode="Literal"), x, y)
-    assert decide_cub(CubParams(mode="Structural"), x, y)
+    assert not decide(rel_e0(), x, y)
+    assert decide(rel_cub("Literal"), x, y)
+    assert decide(rel_cub("Structural"), x, y)
 
 
 def test_empty_points_are_related():

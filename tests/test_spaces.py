@@ -30,7 +30,6 @@ from gbs.spaces import (
     starts_with,
     validate_point,
     word_from_bits,
-    word_to_bits,
     word_values,
     xor_prefix,
     zero_pad_embed,
@@ -348,8 +347,11 @@ def test_xor_prefix_matches_pad_then_zip(data):
 
 
 def test_word_to_bits():
-    b = word_to_bits(word_from_bits([1]), L)
+    # a word becomes a point by xoring it onto zeros: the zero-padded word
+    w = word_from_bits([1])
+    b = xor_prefix(w, zeros(L))
     assert b == indicator({0})
+    assert b == Bits(zero_pad_embed(w, L).bits)
 
 
 # --- diff map ---------------------------------------------------------------------
